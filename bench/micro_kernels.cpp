@@ -4,7 +4,7 @@
 // generation, and end-to-end Bootleg sentence inference.
 #include <benchmark/benchmark.h>
 
-#include "backend/backend.h"
+#include "bench_host.h"
 #include "core/model.h"
 #include "core/trainer.h"
 #include "data/generator.h"
@@ -31,60 +31,46 @@ void BM_MatMul(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMul)->Arg(32)->Arg(64)->Arg(128);
 
-// Pre-rewrite naive kernel, kept as the speedup baseline for the blocked
-// production MatMul above.
-void BM_MatMulReference(benchmark::State& state) {
+// The dispatched matmul (the probe's pick: AVX2/AVX-512 tiles or the blocked
+// scalar kernels) against the naive reference. Single-thread on purpose: the
+// reference never threads, so this is the per-core speedup; BM_MatMul above
+// runs the dispatched kernel at the default pool size.
+void BM_KernelMatMul(benchmark::State& state, bool dispatched) {
   const int64_t n = state.range(0);
   util::Rng rng(1);
   tensor::Tensor a = tensor::Tensor::Randn({n, n}, &rng);
   tensor::Tensor b = tensor::Tensor::Randn({n, n}, &rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tensor::MatMulReference(a, b));
-  }
-  state.SetItemsProcessed(state.iterations() * n * n * n);
-}
-BENCHMARK(BM_MatMulReference)->Arg(32)->Arg(64)->Arg(128);
-
-// Per-backend inference MatMul. Single-thread on purpose: the backend
-// speedup criterion is per-core, and the SIMD kernels parallelize with the
-// same row partition as the reference so the ratio carries to any pool size.
-void BM_BackendMatMul(benchmark::State& state, const char* spec) {
-  const int64_t n = state.range(0);
-  util::Rng rng(1);
-  tensor::Tensor a = tensor::Tensor::Randn({n, n}, &rng);
-  tensor::Tensor b = tensor::Tensor::Randn({n, n}, &rng);
-  auto be = backend::Backend::Create(spec).value();
   util::ThreadPool::ResetGlobal(1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(be->MatMul(a, b));
+    benchmark::DoNotOptimize(dispatched ? tensor::MatMul(a, b)
+                                        : tensor::MatMulReference(a, b));
   }
   state.SetItemsProcessed(state.iterations() * n * n * n);
   util::ThreadPool::ResetGlobal(util::ThreadPool::EnvThreads());
 }
-BENCHMARK_CAPTURE(BM_BackendMatMul, ref, "ref")->Arg(32)->Arg(64)->Arg(128);
-BENCHMARK_CAPTURE(BM_BackendMatMul, simd, "simd")->Arg(32)->Arg(64)->Arg(128);
+BENCHMARK_CAPTURE(BM_KernelMatMul, dispatched, true)->Arg(32)->Arg(64)->Arg(128);
+BENCHMARK_CAPTURE(BM_KernelMatMul, reference, false)->Arg(32)->Arg(64)->Arg(128);
 
-// Per-backend affine layer (x @ W + bias), the shape the q8 backend
-// quantizes: simd_q8 runs int8 x int8 dot products against its packed
-// weights, ref and simd run the float kernels.
-void BM_BackendLinear(benchmark::State& state, const char* spec) {
+// The nn::Linear value path (x @ W + bias, bias fused into the epilogue) at
+// a 64-row batch, against the reference matmul plus a broadcast add.
+void BM_KernelLinear(benchmark::State& state, bool dispatched) {
   const int64_t n = state.range(0);
   util::Rng rng(1);
   tensor::Tensor x = tensor::Tensor::Randn({64, n}, &rng);
   tensor::Tensor w = tensor::Tensor::Randn({n, n}, &rng);
   tensor::Tensor bias = tensor::Tensor::Randn({n}, &rng);
-  auto be = backend::Backend::Create(spec).value();
-  be->LoadModel({{"bench_linear", &w, &bias}});
   util::ThreadPool::ResetGlobal(1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(be->LinearForward(x, w, bias));
+    benchmark::DoNotOptimize(
+        dispatched ? tensor::MatMulAddBias(x, w, bias)
+                   : tensor::AddRowBroadcast(tensor::MatMulReference(x, w),
+                                             bias));
   }
   state.SetItemsProcessed(state.iterations() * 64 * n * n);
   util::ThreadPool::ResetGlobal(util::ThreadPool::EnvThreads());
 }
-BENCHMARK_CAPTURE(BM_BackendLinear, ref, "ref")->Arg(64)->Arg(128);
-BENCHMARK_CAPTURE(BM_BackendLinear, simd, "simd")->Arg(64)->Arg(128);
-BENCHMARK_CAPTURE(BM_BackendLinear, simd_q8, "simd_q8")->Arg(64)->Arg(128);
+BENCHMARK_CAPTURE(BM_KernelLinear, dispatched, true)->Arg(64)->Arg(128);
+BENCHMARK_CAPTURE(BM_KernelLinear, reference, false)->Arg(64)->Arg(128);
 
 void BM_SoftmaxRows(benchmark::State& state) {
   const int64_t n = state.range(0);
@@ -228,4 +214,14 @@ BENCHMARK(BM_ParallelEval)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::AddCustomContext("nproc", std::to_string(bench::HostNproc()));
+  benchmark::AddCustomContext("isa", bench::HostIsa());
+  benchmark::AddCustomContext("matmul_kernels",
+                              tensor::ActiveMatMulKernels().isa);
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -14,11 +14,10 @@
 //   - end-to-end serve-path cost: batched PredictExamples latency on a
 //     synthetic world with the heap path, the float store and the int8
 //     store; the acceptance bar is <20% overhead for the store paths
-//   - int8 gather+dequant fusion: ns/row for the pre-fusion scalar
-//     store::DequantizeRow loop vs the fused SIMD backend::DequantRow the
-//     int8 view's GatherRow now runs; the acceptance bar is <=12 ns/row fused
-//   - per-backend serve pass: the same PredictExamples batch under the
-//     ref, simd and simd_q8 inference backends (heap store)
+//   - int8 gather+dequant fusion: ns/row for the pre-fusion path (copy the
+//     mapped row to a staging buffer, then store::DequantizeRow, one row at
+//     a time) vs the int8 view's batched GatherRows, which dequantizes
+//     straight from the mapped bytes; the acceptance bar is <=12 ns/row fused
 //   - live index mutation: AddEntityLive latency (induce + publish a chained
 //     generation + in-process adopt) and time_to_first_correct_serve (the
 //     wall time from the add_entity call until a Disambiguate reply resolves
@@ -36,7 +35,7 @@
 #include <string>
 #include <vector>
 
-#include "backend/simd_primitives.h"
+#include "bench_host.h"
 #include "core/model.h"
 #include "index/live_index.h"
 #include "data/example.h"
@@ -153,11 +152,11 @@ int main(int argc, char** argv) {
 
   // --- Fused vs unfused int8 gather+dequant ---------------------------------
   // Unfused is the pre-fusion serving shape: copy the mapped int8 row into a
-  // staging buffer, then run the scalar store::DequantizeRow pass over it,
-  // one row at a time with no lookahead. Fused is what the model's gather
-  // path now does: one batched GatherRows call per request, which amortizes
-  // the per-row costs, keeps a prefetch window of upcoming rows in flight,
-  // and converts straight from the mapped bytes with the SIMD dequant core.
+  // staging buffer, then run store::DequantizeRow over it, one row at a
+  // time with no lookahead. Fused is what the model's gather path now does:
+  // one batched GatherRows call per request, which amortizes the per-row
+  // costs, keeps a prefetch window of upcoming rows in flight, and converts
+  // straight from the mapped bytes.
   // Same ids, bit-identical output.
   std::vector<int8_t> q_table(static_cast<size_t>(rows * cols));
   std::vector<float> q_scales(static_cast<size_t>(rows));
@@ -230,7 +229,7 @@ int main(int argc, char** argv) {
 
   std::printf("gather ns/row: heap %.1f, mmap-float %.1f, mmap-int8 %.1f\n",
               heap_row_ns, float_row_ns, int8_row_ns);
-  std::printf("int8 gather+dequant ns/row: unfused-scalar %.1f, fused-simd %.1f\n",
+  std::printf("int8 gather+dequant ns/row: unfused %.1f, fused %.1f\n",
               unfused_row_ns, fused_row_ns);
   std::printf("resident bytes: heap %llu, mmap-float %llu, mmap-int8 %llu "
               "(%.2fx reduction)\n",
@@ -375,20 +374,18 @@ int main(int argc, char** argv) {
                       .ok());
   }
 
-  const auto make_engine = [&](const std::string& store_dir,
-                               const std::string& backend_spec) {
+  const auto make_engine = [&](const std::string& store_dir) {
     serve::EngineOptions options;
     options.data_dir = data_dir;
     options.model_path = data_dir + "/model.bin";
     options.store_dir = store_dir;
-    options.backend = backend_spec;
     auto engine = serve::InferenceEngine::Create(options);
     BOOTLEG_CHECK_MSG(engine.ok(), engine.status().ToString());
     return std::move(engine.value());
   };
-  auto heap_engine = make_engine("", "ref");
-  auto float_engine = make_engine(work_dir + "/serve_float", "ref");
-  auto int8_engine = make_engine(work_dir + "/serve_int8", "ref");
+  auto heap_engine = make_engine("");
+  auto float_engine = make_engine(work_dir + "/serve_float");
+  auto int8_engine = make_engine(work_dir + "/serve_int8");
 
   data::ExampleBuilder builder(&world.candidates, &world.vocab);
   data::ExampleOptions example_options;
@@ -418,29 +415,12 @@ int main(int argc, char** argv) {
               batch.size(), heap_pass * 1e3, float_overhead_pct,
               int8_overhead_pct);
 
-  // --- Per-backend serve path (heap store, backend varies) ------------------
-  auto simd_engine = make_engine("", "simd");
-  auto q8_engine = make_engine("", "simd_q8");
-  TimePredictPass(simd_engine.get(), batch, &scratch);  // warmup
-  TimePredictPass(q8_engine.get(), batch, &scratch);
-  std::vector<double> simd_s, q8_s;
-  for (int r = 0; r < 9; ++r) {
-    simd_s.push_back(TimePredictPass(simd_engine.get(), batch, &scratch));
-    q8_s.push_back(TimePredictPass(q8_engine.get(), batch, &scratch));
-  }
-  const double simd_pass = MedianOf(simd_s);
-  const double q8_pass = MedianOf(q8_s);
-  std::printf("backend serve pass: ref %.1f ms, simd %.1f ms (%.2fx), "
-              "simd_q8 %.1f ms (%.2fx)\n",
-              heap_pass * 1e3, simd_pass * 1e3, heap_pass / simd_pass,
-              q8_pass * 1e3, heap_pass / q8_pass);
-
   // --- Live index mutation: delta publish + time to first correct serve -----
   const std::string delta_root = work_dir + "/delta_root";
   std::filesystem::create_directories(delta_root);
   std::filesystem::copy(work_dir + "/serve_float", delta_root + "/gen_000001",
                         std::filesystem::copy_options::recursive);
-  auto delta_engine = make_engine(delta_root, "ref");
+  auto delta_engine = make_engine(delta_root);
 
   // Borrow an existing entity's structural signals — the paper's unseen-tail
   // premise: a new entity arrives with known types and relations.
@@ -531,11 +511,12 @@ int main(int argc, char** argv) {
       buf, sizeof(buf),
       "{\n"
       "  \"benchmark\": \"bootleg embedding store\",\n"
+      "  \"host\": %s,\n"
       "  \"gather_table\": {\"rows\": %lld, \"cols\": %lld, \"lookups\": %zu},\n"
       "  \"gather_ns_per_row\": {\"heap\": %.2f, \"mmap_float\": %.2f, "
       "\"mmap_int8\": %.2f},\n"
-      "  \"int8_gather_fusion_ns_per_row\": {\"unfused_scalar\": %.2f, "
-      "\"fused_simd\": %.2f},\n"
+      "  \"int8_gather_fusion_ns_per_row\": {\"unfused\": %.2f, "
+      "\"fused\": %.2f},\n"
       "  \"resident_bytes\": {\"heap_float\": %llu, \"mmap_float\": %llu, "
       "\"mmap_int8\": %llu},\n"
       "  \"int8_memory_reduction_x\": %.3f,\n"
@@ -548,14 +529,13 @@ int main(int argc, char** argv) {
       "\"resident_bytes\": %lld, \"minor_faults\": %ld}},\n"
       "  \"serve_pass\": {\"sentences\": %zu, \"heap_ms\": %.3f, "
       "\"float_store_overhead_pct\": %.3f, \"int8_store_overhead_pct\": %.3f},\n"
-      "  \"backend_serve_pass\": {\"ref_ms\": %.3f, \"simd_ms\": %.3f, "
-      "\"simd_q8_ms\": %.3f, \"simd_speedup_x\": %.3f},\n"
       "  \"store_delta\": {\"adds\": %d, \"add_entity_ms\": %.3f, "
       "\"time_to_first_correct_serve_ms\": %.3f, \"chain_depth\": %lld, "
       "\"chain_gather_ns_per_row\": %.2f, \"compact_ms\": %.3f, "
       "\"compacted_gather_ns_per_row\": %.2f}\n"
       "}\n",
-      static_cast<long long>(rows), static_cast<long long>(cols), ids.size(),
+      bench::HostJson().c_str(), static_cast<long long>(rows),
+      static_cast<long long>(cols), ids.size(),
       heap_row_ns, float_row_ns, int8_row_ns, unfused_row_ns, fused_row_ns,
       static_cast<unsigned long long>(heap_bytes),
       static_cast<unsigned long long>(float_mapped),
@@ -572,8 +552,7 @@ int main(int argc, char** argv) {
       static_cast<long long>(res_unmanaged.resident_bytes),
       res_unmanaged.minor_faults, batch.size(), heap_pass * 1e3,
       float_overhead_pct,
-      int8_overhead_pct, heap_pass * 1e3, simd_pass * 1e3, q8_pass * 1e3,
-      heap_pass / simd_pass, kAdds, add_median_ms, first_serve_median_ms,
+      int8_overhead_pct, kAdds, add_median_ms, first_serve_median_ms,
       static_cast<long long>(chain_depth), chain_gather_ns, compact_ms,
       flat_gather_ns);
   std::ofstream f(out_path);

@@ -29,12 +29,6 @@ double ErrorRate(const std::vector<downstream::ReExample>& test,
   return n == 0 ? 0.0 : static_cast<double>(errors) / static_cast<double>(n);
 }
 
-double Median(std::vector<double> values) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  return values[values.size() / 2];
-}
-
 }  // namespace
 
 int main() {

@@ -24,6 +24,16 @@ const char* kFunctionWords[] = {
 /// Years used for numerically-titled event entities.
 const int kEventYears[] = {1960, 1964, 1968, 1972, 1976, 1980, 1984, 1988};
 
+/// Keyword token "<prefix><id>kw<k>", e.g. "t3kw1". Built by appends: GCC 12
+/// reports a false -Wrestrict on the chained operator+ spelling.
+std::string KeywordToken(char prefix, int64_t id, int64_t k) {
+  std::string kw(1, prefix);
+  kw += std::to_string(id);
+  kw += "kw";
+  kw += std::to_string(k);
+  return kw;
+}
+
 }  // namespace
 
 EntityId SynthWorld::SampleEntity(util::Rng* rng, bool allow_holdout) const {
@@ -229,7 +239,7 @@ SynthWorld BuildWorld(const SynthConfig& config) {
   world.type_keywords.resize(static_cast<size_t>(config.num_types));
   for (int64_t t = 0; t < config.num_types; ++t) {
     for (int64_t k = 0; k < config.keywords_per_type; ++k) {
-      std::string kw = "t" + std::to_string(t) + "kw" + std::to_string(k);
+      std::string kw = KeywordToken('t', t, k);
       world.vocab.AddToken(kw);
       world.type_keywords[static_cast<size_t>(t)].push_back(std::move(kw));
     }
@@ -237,7 +247,7 @@ SynthWorld BuildWorld(const SynthConfig& config) {
   world.relation_keywords.resize(static_cast<size_t>(config.num_relations));
   for (int64_t r = 0; r < config.num_relations; ++r) {
     for (int64_t k = 0; k < config.keywords_per_relation; ++k) {
-      std::string kw = "r" + std::to_string(r) + "kw" + std::to_string(k);
+      std::string kw = KeywordToken('r', r, k);
       world.vocab.AddToken(kw);
       world.relation_keywords[static_cast<size_t>(r)].push_back(std::move(kw));
     }

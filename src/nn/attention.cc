@@ -67,14 +67,12 @@ Tensor SliceBlock(const Tensor& a, int64_t r0, int64_t rows, int64_t c0,
 
 Tensor MultiHeadAttention::AttendSegmentsValue(
     const Tensor& queries, const Tensor& keys,
-    const std::vector<AttentionSegment>& segments,
-    const backend::Backend* be) const {
+    const std::vector<AttentionSegment>& segments) const {
   BOOTLEG_CHECK_EQ(queries.size(1), hidden_);
   BOOTLEG_CHECK_EQ(keys.size(1), hidden_);
-  if (be == nullptr) be = backend::Backend::ReferenceInstance();
-  const Tensor q = wq_.ForwardValue(queries, be);
-  const Tensor k = wk_.ForwardValue(keys, be);
-  const Tensor v = wv_.ForwardValue(keys, be);
+  const Tensor q = wq_.ForwardValue(queries);
+  const Tensor k = wk_.ForwardValue(keys);
+  const Tensor v = wv_.ForwardValue(keys);
   const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(head_dim_));
 
   Tensor concat({queries.size(0), hidden_});
@@ -85,8 +83,8 @@ Tensor MultiHeadAttention::AttendSegmentsValue(
       Tensor kh = SliceBlock(k, seg.k_offset, seg.k_rows, off, head_dim_);
       Tensor vh = SliceBlock(v, seg.k_offset, seg.k_rows, off, head_dim_);
       Tensor attn =
-          be->SoftmaxRows(be->ScaledMatMulTransposedB(qh, kh, inv_sqrt));
-      Tensor head = be->MatMul(attn, vh);
+          tensor::SoftmaxRows(tensor::MatMulTransposedB(qh, kh, inv_sqrt));
+      Tensor head = tensor::MatMul(attn, vh);
       // Write the head's rows into its column block of the concat output.
       for (int64_t i = 0; i < seg.q_rows; ++i) {
         const float* src = head.data() + i * head_dim_;
@@ -95,15 +93,7 @@ Tensor MultiHeadAttention::AttendSegmentsValue(
       }
     }
   }
-  return wo_.ForwardValue(concat, be);
-}
-
-void MultiHeadAttention::AppendFrozenWeights(
-    const std::string& name, std::vector<backend::FrozenWeight>* out) const {
-  wq_.AppendFrozenWeights(name + ".wq", out);
-  wk_.AppendFrozenWeights(name + ".wk", out);
-  wv_.AppendFrozenWeights(name + ".wv", out);
-  wo_.AppendFrozenWeights(name + ".wo", out);
+  return wo_.ForwardValue(concat);
 }
 
 AttentionBlock::AttentionBlock(ParameterStore* store, const std::string& prefix,
@@ -125,19 +115,12 @@ Var AttentionBlock::Forward(const Var& queries, const Var& keys, util::Rng* rng,
 
 Tensor AttentionBlock::ForwardSegmentsValue(
     const Tensor& queries, const Tensor& keys,
-    const std::vector<AttentionSegment>& segments,
-    const backend::Backend* be) const {
+    const std::vector<AttentionSegment>& segments) const {
   OBS_SPAN("nn.attention.segments");
-  Tensor attended = mha_.AttendSegmentsValue(queries, keys, segments, be);
+  Tensor attended = mha_.AttendSegmentsValue(queries, keys, segments);
   Tensor h = ln1_.ForwardValue(tensor::Add(queries, attended));
-  Tensor ff_out = ff_.ForwardValue(h, be);
+  Tensor ff_out = ff_.ForwardValue(h);
   return ln2_.ForwardValue(tensor::Add(h, ff_out));
-}
-
-void AttentionBlock::AppendFrozenWeights(
-    const std::string& name, std::vector<backend::FrozenWeight>* out) const {
-  mha_.AppendFrozenWeights(name + ".mha", out);
-  ff_.AppendFrozenWeights(name + ".ff", out);
 }
 
 AdditiveAttention::AdditiveAttention(ParameterStore* store,

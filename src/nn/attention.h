@@ -38,12 +38,7 @@ class MultiHeadAttention {
   /// score/softmax/value cores run per segment on the same kernels.
   tensor::Tensor AttendSegmentsValue(
       const tensor::Tensor& queries, const tensor::Tensor& keys,
-      const std::vector<AttentionSegment>& segments,
-      const backend::Backend* be = nullptr) const;
-
-  /// Registers wq/wk/wv/wo as `name + ".wq"` etc. (see Linear).
-  void AppendFrozenWeights(const std::string& name,
-                           std::vector<backend::FrozenWeight>* out) const;
+      const std::vector<AttentionSegment>& segments) const;
 
   int64_t num_heads() const { return num_heads_; }
 
@@ -81,12 +76,7 @@ class AttentionBlock {
   /// eval time, so per-segment rows match Forward(..., train=false) exactly.
   tensor::Tensor ForwardSegmentsValue(
       const tensor::Tensor& queries, const tensor::Tensor& keys,
-      const std::vector<AttentionSegment>& segments,
-      const backend::Backend* be = nullptr) const;
-
-  /// Registers the MHA projections and feed-forward layers (see Linear).
-  void AppendFrozenWeights(const std::string& name,
-                           std::vector<backend::FrozenWeight>* out) const;
+      const std::vector<AttentionSegment>& segments) const;
 
  private:
   MultiHeadAttention mha_;

@@ -4,10 +4,10 @@
 #include <future>
 #include <utility>
 
-#include "backend/backend.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/json.h"
+#include "tensor/tensor.h"
 #include "util/logging.h"
 
 namespace bootleg::serve {
@@ -534,26 +534,12 @@ std::string Server::StatsReply() {
       reply.Set("store", std::move(jstore));
     }
 
-    // Active inference backend, next to the store block it complements:
-    // which kernels serve the frozen compute, and how lossy the quantized
-    // weight copies are (zeros for non-quantizing backends).
-    const backend::BackendStats bs =
-        engine_->model().inference_backend()->stats();
-    Json jbackend = Json::Object();
-    jbackend.Set("name", Json::Str(bs.name));
-    jbackend.Set("isa", Json::Str(bs.isa));
-    jbackend.Set("simd_active", Json::Bool(bs.simd_active));
-    jbackend.Set("quant_block",
-                 Json::Number(static_cast<double>(bs.quant_block)));
-    jbackend.Set("quantized_tensors",
-                 Json::Number(static_cast<double>(bs.quantized_tensors)));
-    jbackend.Set("quantized_bytes",
-                 Json::Number(static_cast<double>(bs.quantized_bytes)));
-    jbackend.Set("quant_max_abs_error",
-                 Json::Number(bs.quant_max_abs_error));
-    jbackend.Set("quant_mean_abs_error",
-                 Json::Number(bs.quant_mean_abs_error));
-    reply.Set("backend", std::move(jbackend));
+    // Which matmul kernels serve (and train): the tensor layer's probe.
+    const tensor::MatMulKernels& mk = tensor::ActiveMatMulKernels();
+    Json jkernels = Json::Object();
+    jkernels.Set("isa", Json::Str(mk.isa));
+    jkernels.Set("simd_active", Json::Bool(mk.simd_active));
+    reply.Set("kernels", std::move(jkernels));
   }
   return reply.Dump();
 }

@@ -13,8 +13,8 @@
 #include <filesystem>
 #include <utility>
 
-#include "backend/simd_primitives.h"
 #include "obs/metrics.h"
+#include "util/cpu.h"
 #include "util/crc32.h"
 #include "util/io.h"
 #include "util/logging.h"
@@ -124,6 +124,40 @@ float QuantizeRow(const float* src, int64_t cols, int8_t* dst) {
 }
 
 void DequantizeRow(const int8_t* src, int64_t cols, float scale, float* dst) {
+  // int8→f32 widening is exact and each lane gets one correctly rounded
+  // multiply, so the vector and scalar paths agree bitwise.
+#if BOOTLEG_SIMD_AVX512
+  if (util::CpuHasAvx512()) {
+    const __m512 vs = _mm512_set1_ps(scale);
+    int64_t j = 0;
+    for (; j + 16 <= cols; j += 16) {
+      const __m128i q8 =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + j));
+      // The maskz forms compile to the same conversions; the unmasked ones
+      // pass an undefined vector that GCC 12 flags -Wmaybe-uninitialized.
+      const __m512i q32 = _mm512_maskz_cvtepi8_epi32(0xFFFF, q8);
+      _mm512_storeu_ps(
+          dst + j, _mm512_mul_ps(_mm512_maskz_cvtepi32_ps(0xFFFF, q32), vs));
+    }
+    for (; j < cols; ++j) dst[j] = static_cast<float>(src[j]) * scale;
+    return;
+  }
+#endif
+#if BOOTLEG_SIMD_AVX2
+  if (util::CpuHasAvx2Fma()) {
+    const __m256 vs = _mm256_set1_ps(scale);
+    int64_t j = 0;
+    for (; j + 8 <= cols; j += 8) {
+      const __m128i q8 =
+          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(src + j));
+      _mm256_storeu_ps(
+          dst + j, _mm256_mul_ps(_mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(q8)),
+                                 vs));
+    }
+    for (; j < cols; ++j) dst[j] = static_cast<float>(src[j]) * scale;
+    return;
+  }
+#endif
   for (int64_t j = 0; j < cols; ++j) {
     dst[j] = static_cast<float>(src[j]) * scale;
   }
@@ -604,10 +638,8 @@ class MmapInt8View : public StoreView {
     const int64_t cols = table_->info.cols;
     const int8_t* q = reinterpret_cast<const int8_t*>(s.rows) + local * cols;
     // Fused gather+dequant: convert straight from the mapped int8 row into
-    // dst with the SIMD core (one pass, no staging copy). Bit-identical to
-    // DequantizeRow — int8→f32 is exact and the per-element multiply is
-    // correctly rounded in both paths.
-    backend::DequantRow(q, cols, s.scales[local], dst);
+    // dst (one pass, no staging copy).
+    DequantizeRow(q, cols, s.scales[local], dst);
   }
 
   void GatherRows(const int64_t* ids, int64_t n, float* dst) const override {
@@ -662,7 +694,7 @@ class MmapInt8View : public StoreView {
       if (i + kLookahead < n) prefetch(ids[i + kLookahead]);
       const float* scale;
       const int8_t* q = locate(ids[i], &scale);
-      backend::DequantRow(q, cols, *scale, dst + i * cols);
+      DequantizeRow(q, cols, *scale, dst + i * cols);
     }
   }
 

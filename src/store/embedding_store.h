@@ -316,7 +316,9 @@ class EmbeddingStore {
 /// round(x/scale) in [-127, 127]. Returns the scale.
 float QuantizeRow(const float* src, int64_t cols, int8_t* dst);
 
-/// Dequantizes one row: dst = q * scale.
+/// Dequantizes one row: dst = q * scale. Runs AVX2/AVX-512 lanes where the
+/// CPU has them, bitwise equal to the scalar loop. The int8 view's gathers
+/// call it straight on the mapped bytes.
 void DequantizeRow(const int8_t* src, int64_t cols, float scale, float* dst);
 
 /// Worst-case reconstruction error bound for a row with the given scale:

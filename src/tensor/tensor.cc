@@ -3,11 +3,15 @@
 #include <cmath>
 #include <sstream>
 
-#include "util/thread_pool.h"
+#include "tensor/dispatch.h"
 
 namespace bootleg::tensor {
 
 namespace {
+
+using internal::Dispatch;
+using internal::RowGrain;
+
 int64_t NumelOf(const std::vector<int64_t>& shape) {
   int64_t n = 1;
   for (int64_t d : shape) {
@@ -15,161 +19,6 @@ int64_t NumelOf(const std::vector<int64_t>& shape) {
     n *= d;
   }
   return n;
-}
-
-// --- Parallel kernel plumbing ------------------------------------------------
-// Every kernel below partitions its output rows (or flat index range) onto
-// the global pool. Each output element is computed by exactly one thread with
-// a fixed, partition-independent accumulation order, so results are
-// bit-identical at every thread count (see docs/ARCHITECTURE.md, "Execution
-// model").
-
-/// Rows of the B panel kept hot in cache while sweeping A rows.
-constexpr int64_t kKTile = 64;
-
-/// Minimum scalar ops worth shipping to another thread. A dispatch costs a
-/// queue round-trip plus a wakeup (~10µs); chunks below ~250k scalar ops
-/// lose more to that than they gain, so training-sized tensors stay serial
-/// and only genuinely large kernels (inference batches, benchmarks) fan out.
-constexpr int64_t kParallelWork = 1 << 18;
-
-/// ParallelFor grain: rows per chunk so a chunk costs >= kParallelWork.
-int64_t RowGrain(int64_t work_per_row) {
-  return std::max<int64_t>(1, kParallelWork / std::max<int64_t>(1, work_per_row));
-}
-
-/// Runs fn(lo, hi) over [0, n): fans out to the global pool only when the
-/// range is large enough to amortize dispatch; otherwise invokes the functor
-/// directly, paying neither the std::function conversion (which heap-allocates
-/// for capturing lambdas) nor a queue round-trip. Small tensors dominate call
-/// counts here, so the serial path must be free.
-template <typename F>
-void Dispatch(int64_t n, int64_t grain, F&& fn) {
-  util::ThreadPool* pool = util::ThreadPool::Global();
-  if (pool->WouldParallelize(n, grain)) {
-    pool->ParallelFor(0, n, grain, fn);
-  } else if (n > 0) {
-    fn(0, n);
-  }
-}
-
-/// C rows [i0, i1) of C = A·B, k-tiled so each B panel is reused across the
-/// row block. Per output element the k-accumulation order is ascending,
-/// matching MatMulReference on finite data.
-void MatMulRowRange(const float* pa, const float* pb, float* pc, int64_t i0,
-                    int64_t i1, int64_t k, int64_t n) {
-  for (int64_t kk0 = 0; kk0 < k; kk0 += kKTile) {
-    const int64_t kk1 = std::min(k, kk0 + kKTile);
-    for (int64_t i = i0; i < i1; ++i) {
-      const float* arow = pa + i * k;
-      float* crow = pc + i * n;
-      int64_t kk = kk0;
-      // 4-way k-unroll: the four adds into crow[j] chain in the same
-      // ascending order as four separate iterations (identical rounding),
-      // but crow is loaded and stored once instead of four times.
-      for (; kk + 4 <= kk1; kk += 4) {
-        const float a0 = arow[kk], a1 = arow[kk + 1];
-        const float a2 = arow[kk + 2], a3 = arow[kk + 3];
-        const float* b0 = pb + kk * n;
-        const float* b1 = b0 + n;
-        const float* b2 = b1 + n;
-        const float* b3 = b2 + n;
-        for (int64_t j = 0; j < n; ++j) {
-          crow[j] = (((crow[j] + a0 * b0[j]) + a1 * b1[j]) + a2 * b2[j]) +
-                    a3 * b3[j];
-        }
-      }
-      for (; kk < kk1; ++kk) {
-        const float av = arow[kk];
-        const float* brow = pb + kk * n;
-        for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-      }
-    }
-  }
-}
-
-/// C rows [i0, i1) of C = A·Bᵀ. A plain dot-product loop is a serial FP
-/// dependency chain the compiler may not vectorize (FP addition is not
-/// associative), so each dot product accumulates into kTBLanes independent
-/// lanes — lane l sums terms kk ≡ l (mod kTBLanes) — and folds the lanes in
-/// fixed index order. The order depends only on k, never on the thread
-/// partition, so results stay bit-identical at every thread count.
-constexpr int64_t kTBLanes = 16;
-
-void MatMulTBRowRange(const float* pa, const float* pb, float* pc, int64_t i0,
-                      int64_t i1, int64_t k, int64_t n) {
-  if (k < kTBLanes) {
-    // Short reductions (backward of vector-valued heads has k as small as 1):
-    // every lane would be zero, so the fold is pure overhead. The branch
-    // depends only on k, never on the thread partition.
-    for (int64_t i = i0; i < i1; ++i) {
-      const float* arow = pa + i * k;
-      float* crow = pc + i * n;
-      for (int64_t j = 0; j < n; ++j) {
-        const float* brow = pb + j * k;
-        float acc = 0.0f;
-        for (int64_t kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
-        crow[j] = acc;
-      }
-    }
-    return;
-  }
-  for (int64_t i = i0; i < i1; ++i) {
-    const float* arow = pa + i * k;
-    float* crow = pc + i * n;
-    for (int64_t j = 0; j < n; ++j) {
-      const float* brow = pb + j * k;
-      float lanes[kTBLanes] = {0.0f};
-      int64_t kk = 0;
-      for (; kk + kTBLanes <= k; kk += kTBLanes) {
-        for (int64_t l = 0; l < kTBLanes; ++l) {
-          lanes[l] += arow[kk + l] * brow[kk + l];
-        }
-      }
-      float tail = 0.0f;
-      for (; kk < k; ++kk) tail += arow[kk] * brow[kk];
-      // Tree fold: fixed halving order (16→8→4→2→1) so the result depends
-      // only on k, and the upper-half adds vectorize instead of forming a
-      // 16-deep serial add chain per output element.
-      for (int64_t l = 0; l < 8; ++l) lanes[l] += lanes[l + 8];
-      for (int64_t l = 0; l < 4; ++l) lanes[l] += lanes[l + 4];
-      lanes[0] += lanes[2];
-      lanes[1] += lanes[3];
-      crow[j] = (lanes[0] + lanes[1]) + tail;
-    }
-  }
-}
-
-/// C rows [i0, i1) of C = Aᵀ·B for A [k,m]: the reduction axis walks A down a
-/// column (stride m), k-tiled so B panels stay hot across the row block.
-void MatMulTARowRange(const float* pa, const float* pb, float* pc, int64_t i0,
-                      int64_t i1, int64_t k, int64_t m, int64_t n) {
-  for (int64_t kk0 = 0; kk0 < k; kk0 += kKTile) {
-    const int64_t kk1 = std::min(k, kk0 + kKTile);
-    for (int64_t i = i0; i < i1; ++i) {
-      float* crow = pc + i * n;
-      int64_t kk = kk0;
-      // Same 4-way unroll as MatMulRowRange: ascending adds, one crow
-      // round-trip per four reduction steps.
-      for (; kk + 4 <= kk1; kk += 4) {
-        const float a0 = pa[kk * m + i], a1 = pa[(kk + 1) * m + i];
-        const float a2 = pa[(kk + 2) * m + i], a3 = pa[(kk + 3) * m + i];
-        const float* b0 = pb + kk * n;
-        const float* b1 = b0 + n;
-        const float* b2 = b1 + n;
-        const float* b3 = b2 + n;
-        for (int64_t j = 0; j < n; ++j) {
-          crow[j] = (((crow[j] + a0 * b0[j]) + a1 * b1[j]) + a2 * b2[j]) +
-                    a3 * b3[j];
-        }
-      }
-      for (; kk < kk1; ++kk) {
-        const float av = pa[kk * m + i];
-        const float* brow = pb + kk * n;
-        for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-      }
-    }
-  }
 }
 
 }  // namespace
@@ -265,119 +114,6 @@ std::string Tensor::ToString(int64_t max_elems) const {
   if (numel() > n) ss << ", ...";
   ss << "}";
   return ss.str();
-}
-
-Tensor MatMul(const Tensor& a, const Tensor& b) {
-  BOOTLEG_CHECK_EQ(a.dim(), 2);
-  BOOTLEG_CHECK_EQ(b.dim(), 2);
-  const int64_t m = a.size(0), k = a.size(1), n = b.size(1);
-  BOOTLEG_CHECK_EQ(k, b.size(0));
-  Tensor c({m, n});
-  if (m == 0 || k == 0 || n == 0) return c;
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  Dispatch(m, RowGrain(k * n), [pa, pb, pc, k, n](int64_t i0, int64_t i1) {
-        MatMulRowRange(pa, pb, pc, i0, i1, k, n);
-      });
-  return c;
-}
-
-Tensor MatMulReference(const Tensor& a, const Tensor& b) {
-  BOOTLEG_CHECK_EQ(a.dim(), 2);
-  BOOTLEG_CHECK_EQ(b.dim(), 2);
-  const int64_t m = a.size(0), k = a.size(1), n = b.size(1);
-  BOOTLEG_CHECK_EQ(k, b.size(0));
-  Tensor c({m, n});
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  // ikj loop order keeps the inner loop streaming over contiguous memory.
-  for (int64_t i = 0; i < m; ++i) {
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float av = pa[i * k + kk];
-      if (av == 0.0f) continue;
-      const float* brow = pb + kk * n;
-      float* crow = pc + i * n;
-      for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
-  return c;
-}
-
-Tensor MatMulTransposedB(const Tensor& a, const Tensor& b) {
-  BOOTLEG_CHECK_EQ(a.dim(), 2);
-  BOOTLEG_CHECK_EQ(b.dim(), 2);
-  const int64_t m = a.size(0), k = a.size(1), n = b.size(0);
-  BOOTLEG_CHECK_EQ(k, b.size(1));
-  Tensor c({m, n});
-  if (m == 0 || k == 0 || n == 0) return c;
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  Dispatch(m, RowGrain(k * n), [pa, pb, pc, k, n](int64_t i0, int64_t i1) {
-        MatMulTBRowRange(pa, pb, pc, i0, i1, k, n);
-      });
-  return c;
-}
-
-Tensor MatMulTransposedBReference(const Tensor& a, const Tensor& b) {
-  BOOTLEG_CHECK_EQ(a.dim(), 2);
-  BOOTLEG_CHECK_EQ(b.dim(), 2);
-  const int64_t m = a.size(0), k = a.size(1), n = b.size(0);
-  BOOTLEG_CHECK_EQ(k, b.size(1));
-  Tensor c({m, n});
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  for (int64_t i = 0; i < m; ++i) {
-    const float* arow = pa + i * k;
-    for (int64_t j = 0; j < n; ++j) {
-      const float* brow = pb + j * k;
-      float acc = 0.0f;
-      for (int64_t kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
-      pc[i * n + j] = acc;
-    }
-  }
-  return c;
-}
-
-Tensor MatMulTransposedA(const Tensor& a, const Tensor& b) {
-  BOOTLEG_CHECK_EQ(a.dim(), 2);
-  BOOTLEG_CHECK_EQ(b.dim(), 2);
-  const int64_t k = a.size(0), m = a.size(1), n = b.size(1);
-  BOOTLEG_CHECK_EQ(k, b.size(0));
-  Tensor c({m, n});
-  if (m == 0 || k == 0 || n == 0) return c;
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  Dispatch(m, RowGrain(k * n), [pa, pb, pc, k, m, n](int64_t i0, int64_t i1) {
-        MatMulTARowRange(pa, pb, pc, i0, i1, k, m, n);
-      });
-  return c;
-}
-
-Tensor MatMulTransposedAReference(const Tensor& a, const Tensor& b) {
-  BOOTLEG_CHECK_EQ(a.dim(), 2);
-  BOOTLEG_CHECK_EQ(b.dim(), 2);
-  const int64_t k = a.size(0), m = a.size(1), n = b.size(1);
-  BOOTLEG_CHECK_EQ(k, b.size(0));
-  Tensor c({m, n});
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  for (int64_t kk = 0; kk < k; ++kk) {
-    const float* arow = pa + kk * m;
-    const float* brow = pb + kk * n;
-    for (int64_t i = 0; i < m; ++i) {
-      const float av = arow[i];
-      if (av == 0.0f) continue;
-      float* crow = pc + i * n;
-      for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
-  return c;
 }
 
 Tensor Transpose(const Tensor& a) {

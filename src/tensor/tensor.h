@@ -109,19 +109,63 @@ class Tensor {
 // autograd layer (autograd.h) composes them and supplies backward rules.
 // ---------------------------------------------------------------------------
 
-/// C = A·B for 2-D A [m,k] and B [k,n]. Blocked and (above a size threshold)
-/// threaded over output rows; bit-identical at every thread count.
+/// C = A·B for 2-D A [m,k] and B [k,n]. Runs the active matmul kernels (see
+/// ActiveMatMulKernels) threaded over output rows; bit-identical at every
+/// thread count.
 Tensor MatMul(const Tensor& a, const Tensor& b);
 
-/// C = A·Bᵀ for 2-D A [m,k] and B [n,k]. Fused to avoid materializing Bᵀ.
-Tensor MatMulTransposedB(const Tensor& a, const Tensor& b);
+/// C = X·W + bias (row broadcast) for X [m,k], W [k,n], bias [n]: the affine
+/// map of nn::Linear with the bias add in the matmul epilogue. Bitwise equal
+/// to AddRowBroadcast(MatMul(x, w), bias), one fewer pass over C.
+Tensor MatMulAddBias(const Tensor& x, const Tensor& w, const Tensor& bias);
+
+/// C = alpha·(A·Bᵀ) for 2-D A [m,k] and B [n,k]. Fused to avoid
+/// materializing Bᵀ; alpha rides the epilogue (the attention score scale),
+/// bitwise equal to Scale(MatMulTransposedB(a, b), alpha).
+Tensor MatMulTransposedB(const Tensor& a, const Tensor& b, float alpha = 1.0f);
 
 /// C = Aᵀ·B for 2-D A [k,m] and B [k,n].
 Tensor MatMulTransposedA(const Tensor& a, const Tensor& b);
 
+/// Which kernels run the matmuls above. Chosen once per process, on first
+/// use: the AVX2/FMA tiles (AVX-512 where the CPU has it) when the CPU can
+/// run them and they reproduce the blocked scalar kernels bitwise on every
+/// kMatMulProbeShapes entry; otherwise the blocked scalar kernels. Results
+/// are the same either way; only speed differs.
+struct MatMulKernels {
+  /// "avx2+fma+avx512f" | "avx2+fma" | "avx2+fma(fallback)" (the probe
+  /// failed, e.g. a sanitizer build at -O1) | "scalar".
+  const char* isa = "scalar";
+  bool simd_active = false;
+};
+const MatMulKernels& ActiveMatMulKernels();
+
+/// Shapes the probe checks: each reaches a different tile or tail.
+struct MatMulShape {
+  int64_t m, k, n;
+};
+inline constexpr MatMulShape kMatMulProbeShapes[] = {
+    {1, 16, 40}, {2, 5, 3},    {3, 33, 7},   {4, 64, 16},  {5, 67, 35},
+    {6, 130, 24}, {9, 64, 1},  {8, 64, 48},  {11, 20, 37}, {13, 128, 128},
+    {5, 37, 9},  {3, 16, 5},   {4, 7, 3},    {2, 48, 2},   {7, 21, 13},
+};
+
+/// The kernels of MatMul / MatMulAddBias (bias may be null) /
+/// MatMulTransposedA / MatMulTransposedB with the implementation chosen by
+/// the caller instead of the probe: the probe and the kernel tests compare
+/// the two. kSimd requires util::CpuHasAvx2Fma().
+enum class MatMulImpl { kScalar, kSimd };
+Tensor MatMulWith(MatMulImpl impl, const Tensor& a, const Tensor& b,
+                  const Tensor* bias);
+Tensor MatMulTransposedAWith(MatMulImpl impl, const Tensor& a,
+                             const Tensor& b);
+Tensor MatMulTransposedBWith(MatMulImpl impl, const Tensor& a, const Tensor& b,
+                             float alpha);
+
 /// Naive single-threaded kernels preserved verbatim from before the blocked
-/// rewrite. The equivalence tests pin the production kernels to these, and
-/// the bench harness reports the blocked speedup against them.
+/// rewrite: the test oracle. MatMul and MatMulTransposedA match them bitwise
+/// on finite data; MatMulTransposedB sums in sixteen lanes and matches its
+/// reference closely. The bench harness reports speedups against them.
 Tensor MatMulReference(const Tensor& a, const Tensor& b);
 Tensor MatMulTransposedBReference(const Tensor& a, const Tensor& b);
 Tensor MatMulTransposedAReference(const Tensor& a, const Tensor& b);

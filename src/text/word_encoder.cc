@@ -41,8 +41,7 @@ Var WordEncoder::Encode(const std::vector<int64_t>& token_ids, util::Rng* rng,
 
 Tensor WordEncoder::EncodeBatchValue(
     const std::vector<const std::vector<int64_t>*>& sequences,
-    std::vector<std::pair<int64_t, int64_t>>* ranges,
-    const backend::Backend* be) const {
+    std::vector<std::pair<int64_t, int64_t>>* ranges) const {
   OBS_SPAN("text.encode_batch");
   std::vector<int64_t> all_ids;
   std::vector<nn::AttentionSegment> segments;
@@ -71,16 +70,9 @@ Tensor WordEncoder::EncodeBatchValue(
     }
   }
   for (const nn::AttentionBlock& layer : layers_) {
-    h = layer.ForwardSegmentsValue(h, h, segments, be);
+    h = layer.ForwardSegmentsValue(h, h, segments);
   }
   return h;
-}
-
-void WordEncoder::AppendFrozenWeights(
-    const std::string& name, std::vector<backend::FrozenWeight>* out) const {
-  for (size_t i = 0; i < layers_.size(); ++i) {
-    layers_[i].AppendFrozenWeights(name + ".layer" + std::to_string(i), out);
-  }
 }
 
 Var WordEncoder::MentionEmbedding(const Var& w, int64_t span_start,

@@ -307,9 +307,9 @@ Status AtomicFileWriter::Commit() {
   committed_ = true;
 
   // fsync the directory so the rename itself survives a crash.
-  std::string dir = std::filesystem::path(path_).parent_path().string();
-  if (dir.empty()) dir = ".";
-  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  const std::string dir = std::filesystem::path(path_).parent_path().string();
+  const int dfd =
+      ::open(dir.empty() ? "." : dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (dfd >= 0) {
     ::fsync(dfd);  // best effort; the rename is already visible
     ::close(dfd);

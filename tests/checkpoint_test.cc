@@ -114,7 +114,7 @@ TEST(AdamStateTest, SaveLoadRoundtripContinuesBitIdentically) {
   EXPECT_EQ(a2_fresh.step_count(), a1.step_count());
   drive(&s1, &a1, 7);
   drive(&s2, &a2_fresh, 7);
-  for (const std::string& name : {"w", "b"}) {
+  for (const char* name : {"w", "b"}) {
     const auto& v1 = s1.GetParam(name).value().vec();
     const auto& v2 = s2.GetParam(name).value().vec();
     EXPECT_EQ(v1, v2) << name;

@@ -504,7 +504,11 @@ TEST(NetFrontEndTest, CoalescedLargeRepliesSurvivePartialWrites) {
   const int fd = ConnectLoopback(fx.fe->port());
   SetRecvTimeout(fd, 5000);
   std::string burst;
-  for (int i = 0; i < kReplies; ++i) burst += "q" + std::to_string(i) + "\n";
+  for (int i = 0; i < kReplies; ++i) {
+    burst += 'q';
+    burst += std::to_string(i);
+    burst += '\n';
+  }
   ASSERT_TRUE(SendAll(fd, burst));
   fx.handler.WaitForHeld(kReplies);
 
@@ -523,7 +527,7 @@ TEST(NetFrontEndTest, CoalescedLargeRepliesSurvivePartialWrites) {
   for (int i = 0; i < kReplies; ++i) {
     const std::string reply = ReadReplyLine(fd);
     ASSERT_EQ(reply.size(), 3 + kPayload) << "reply " << i;
-    EXPECT_EQ(reply.substr(0, 3), "q" + std::to_string(i) + ":");
+    EXPECT_EQ(reply.substr(0, 3), 'q' + std::to_string(i) + ':');
     EXPECT_EQ(reply.back(), static_cast<char>('a' + i));
   }
   ::close(fd);

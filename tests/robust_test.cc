@@ -355,7 +355,9 @@ TEST_F(RobustEvaluationTest, PriorScorerAlwaysFollowsPrior) {
   // And a prior-following scorer scores exactly 0 on the overshadowed slice
   // whenever it is non-empty (gold is never the head there).
   const eval::Prf ov = robust::OvershadowedPrf(report.clean);
-  if (ov.total > 0) EXPECT_EQ(ov.correct, 0);
+  if (ov.total > 0) {
+    EXPECT_EQ(ov.correct, 0);
+  }
 }
 
 // --- Typo-fallback encoding --------------------------------------------------

@@ -43,9 +43,6 @@
 //                                     embedding instead of [UNK]; clean text
 //                                     encodes bit-identically either way
 //                 [--ablation A]      config preset when no .meta sidecar
-//                 [--backend B]       inference backend: ref | simd | simd_q8
-//                                     (default ref; simd is bit-identical to
-//                                     ref, simd_q8 serves block-int8 weights)
 //                 [--no_trace]        disable per-stage trace spans
 //
 // Protocol: newline-delimited JSON; ops disambiguate / disambiguate_text
@@ -58,6 +55,12 @@
 // deployments) or the newest store generation (--store_dir deployments);
 // corrupt candidates are skipped, and a failed reload keeps serving the
 // previous weights/generation.
+//
+// Kernels: every matmul — serving, and the training and eval runs of
+// bootleg_cli — runs the AVX2/FMA (AVX-512 where present) tiles when the CPU
+// has them and a startup probe finds them bit-identical to the blocked
+// scalar kernels; otherwise the scalar kernels. Replies are the same either
+// way. The startup line and the stats op's "kernels" block report which.
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -70,6 +73,7 @@
 #include "serve/inference_engine.h"
 #include "serve/metrics.h"
 #include "serve/server.h"
+#include "tensor/tensor.h"
 
 using namespace bootleg;  // NOLINT
 
@@ -141,7 +145,6 @@ int main(int argc, char** argv) {
   engine_options.checkpoint_dir = flags.Get("checkpoint_dir");
   engine_options.store_dir = flags.Get("store_dir");
   engine_options.ablation = flags.Get("ablation", "full");
-  engine_options.backend = flags.Get("backend", "ref");
   engine_options.cache_capacity =
       static_cast<size_t>(flags.GetInt("cache", 4096));
   // Fractional MiB so budgets below 1 MiB (tiny drill/test stores) work.
@@ -157,7 +160,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   serve::InferenceEngine& engine = *engine_or.value();
-  std::fprintf(stderr, "serving model %s\n", engine.loaded_path().c_str());
+  std::fprintf(stderr, "serving model %s (kernels %s)\n",
+               engine.loaded_path().c_str(),
+               tensor::ActiveMatMulKernels().isa);
 
   serve::BatcherOptions batcher_options;
   batcher_options.max_batch = static_cast<int>(flags.GetInt("max_batch", 8));

@@ -2,11 +2,11 @@
 # Full verification gate for the durability + serving work (and the tier-1
 # suite):
 #
-#   1. Release build + complete ctest suite (tier-1 gate).
+#   1. Release build with -Werror + complete ctest suite (tier-1 gate).
 #   2. ASan build: corruption fuzzing, checkpoint/resume, io, parallel,
-#      serve, backend equivalence.
+#      serve, matmul kernel identity.
 #   3. TSan build: checkpointed data-parallel training + parallel + serve +
-#      backend equivalence.
+#      matmul kernel identity.
 #   4. CLI crash-recovery drill: train with checkpointing, kill the run
 #      mid-checkpoint-write via fault injection (leaving a torn temp file),
 #      corrupt the newest checkpoint, resume, and verify the final model is
@@ -23,11 +23,11 @@
 #      verify every shard checksum, serve from the store, then export a new
 #      int8 generation and SIGHUP-swap it in under concurrent load — no
 #      request may drop, and stats must report the new generation.
-#   8. Backend drill: serve the same requests under --backend ref, simd, and
-#      simd_q8. The ref and simd reply streams must be byte-identical (on
-#      hosts without AVX2 the simd backend's probe delegates to the reference
-#      kernels, so the check holds everywhere), simd_q8 must answer every
-#      request without error, and the stats op must name the active backend.
+#   8. Kernel drill: serve the same requests from the Release bootleg_serve
+#      (AVX2/AVX-512 matmul tiles where the probe passes) and from one built
+#      in the ASan tree (blocked scalar kernels: the probe fails at -O1). The
+#      reply streams must be byte-identical, and the drill prints the
+#      kernels.isa each server's stats op reports.
 #   9. Overload drill: hammer the epoll front end with ~10x more pipelined
 #      clients than the admission watermark admits, plus slowloris, dead
 #      readers and an over-cap request line. Every overflow request must get
@@ -68,8 +68,8 @@ SKIP_SAN=0
 
 JOBS="$(nproc)"
 
-echo "==> [1/12] Release build + full test suite"
-cmake -B build -S . >/dev/null
+echo "==> [1/12] Release build (-Werror) + full test suite"
+cmake -B build -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
 cmake --build build -j"$JOBS" >/dev/null
 (cd build && ctest --output-on-failure)
 
@@ -79,9 +79,9 @@ if [[ "$SKIP_SAN" == "0" ]]; then
   cmake --build build-asan -j"$JOBS" \
     --target io_fuzz_test checkpoint_test util_test robustness_test \
              parallel_test serve_test metrics_test store_test \
-             backend_test net_test index_test robust_test >/dev/null
+             kernels_test net_test index_test robust_test >/dev/null
   for t in io_fuzz_test checkpoint_test util_test robustness_test \
-           parallel_test serve_test metrics_test store_test backend_test \
+           parallel_test serve_test metrics_test store_test kernels_test \
            net_test index_test robust_test; do
     echo "  asan: $t"
     ./build-asan/tests/"$t" >/dev/null
@@ -91,9 +91,9 @@ if [[ "$SKIP_SAN" == "0" ]]; then
   cmake -B build-tsan -S . -DBOOTLEG_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j"$JOBS" \
     --target checkpoint_test parallel_test serve_test metrics_test \
-             store_test backend_test net_test index_test robust_test >/dev/null
+             store_test kernels_test net_test index_test robust_test >/dev/null
   for t in checkpoint_test parallel_test serve_test metrics_test store_test \
-           backend_test net_test index_test robust_test; do
+           kernels_test net_test index_test robust_test; do
     echo "  tsan: $t"
     ./build-tsan/tests/"$t" >/dev/null
   done
@@ -327,51 +327,41 @@ kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" \
   || { echo "FAIL: store serve: non-zero exit on SIGTERM"; exit 1; }
 
-echo "==> [8/12] backend drill: ref vs simd byte-identical, simd_q8 clean"
-BACKEND_REQS=$(printf '%s\n' \
+echo "==> [8/12] kernel drill: Release replies byte-identical to the ASan tree's"
+# The Release build serves with the AVX2/AVX-512 matmul tiles wherever its
+# probe passes; the ASan tree (-O1, no FMA contraction) fails the probe and
+# serves with the blocked scalar kernels. Both must answer byte for byte
+# alike, and each reports the kernels it runs in the stats op.
+cmake -B build-asan -S . -DBOOTLEG_SANITIZE=address >/dev/null
+cmake --build build-asan -j"$JOBS" --target bootleg_serve >/dev/null
+KERNEL_REQS=$(printf '%s\n' \
   "{\"op\": \"disambiguate\", \"text\": \"the $ALIAS appears here\"}" \
   '{"op": "disambiguate", "text": "entities appear on every page"}' \
-  '{"op": "disambiguate", "text": "the first page mentions a rare entity"}')
+  '{"op": "disambiguate", "text": "the first page mentions a rare entity"}' \
+  '{"op": "disambiguate_text", "text": "the first page mentions a rare entity. entities appear on every page."}')
 
-backend_serve() {  # $1 = backend spec; replies on stdout
-  echo "$BACKEND_REQS" \
-    | "$SERVE" --data "$WORK/data" --model "$WORK/ref.bin" --stdin \
-        --backend "$1" 2>/dev/null
+kernel_serve() {  # $1 = bootleg_serve binary; replies (then stats) on stdout
+  printf '%s\n' "$KERNEL_REQS" '{"op": "stats"}' \
+    | "$1" --data "$WORK/data" --model "$WORK/ref.bin" --stdin 2>/dev/null
 }
 
-REF_REPLIES=$(backend_serve ref)
-SIMD_REPLIES=$(backend_serve simd)
-[[ $(echo "$REF_REPLIES" | wc -l) == 3 ]] \
-  || { echo "FAIL: backend drill: ref backend dropped replies"; exit 1; }
-[[ "$REF_REPLIES" == "$SIMD_REPLIES" ]] \
-  || { echo "FAIL: backend drill: simd replies differ from ref"; exit 1; }
-
-# simd_q8 serves quantized weights: predictions may legitimately differ from
-# float only on near-ties, but every request must succeed, and stats must
-# report the backend block.
-Q8_OUT=$(printf '%s\n' "$BACKEND_REQS" '{"op": "stats"}' \
-  | "$SERVE" --data "$WORK/data" --model "$WORK/ref.bin" --stdin \
-      --backend simd_q8 2>/dev/null)
-[[ $(echo "$Q8_OUT" | wc -l) == 4 ]] \
-  || { echo "FAIL: backend drill: simd_q8 dropped replies"; exit 1; }
-[[ $(echo "$Q8_OUT" | sed -n 1,3p | grep -c '"ok": *true') == 3 ]] \
-  || { echo "FAIL: backend drill: simd_q8 request errored"; exit 1; }
-Q8_STATS=$(echo "$Q8_OUT" | sed -n 4p)
-echo "$Q8_STATS" | grep -q '"errors": *0' \
-  || { echo "FAIL: backend drill: simd_q8 stats report errors: $Q8_STATS"; exit 1; }
-echo "$Q8_STATS" | grep -q '"backend"' \
-  || { echo "FAIL: backend drill: stats missing backend block: $Q8_STATS"; exit 1; }
-echo "$Q8_STATS" | grep -q '"name": *"simd_q8"' \
-  || { echo "FAIL: backend drill: stats missing backend name: $Q8_STATS"; exit 1; }
-echo "$Q8_STATS" | grep -q '"quant_block": *32' \
-  || { echo "FAIL: backend drill: stats missing quant block: $Q8_STATS"; exit 1; }
-
-# An unknown backend must be rejected at startup, not served silently.
-if echo '{"op": "health"}' \
-    | "$SERVE" --data "$WORK/data" --model "$WORK/ref.bin" --stdin \
-        --backend warp 2>/dev/null >/dev/null; then
-  echo "FAIL: backend drill: unknown backend accepted"; exit 1
-fi
+RELEASE_OUT=$(kernel_serve "$SERVE")
+ASAN_OUT=$(kernel_serve ./build-asan/tools/bootleg_serve)
+for side in RELEASE ASAN; do
+  out_var="${side}_OUT"
+  out="${!out_var}"
+  [[ $(echo "$out" | wc -l) == 5 ]] \
+    || { echo "FAIL: kernel drill: $side server dropped replies"; exit 1; }
+  [[ $(echo "$out" | sed -n 1,4p | grep -c '"ok": *true') == 4 ]] \
+    || { echo "FAIL: kernel drill: $side request errored: $out"; exit 1; }
+  isa=$(echo "$out" | sed -n 5p \
+    | sed -n 's/.*"kernels": *{[^}]*"isa": *"\([^"]*\)".*/\1/p')
+  [[ -n "$isa" ]] \
+    || { echo "FAIL: kernel drill: $side stats missing kernels.isa"; exit 1; }
+  echo "  $side kernels.isa: $isa"
+done
+[[ "$(echo "$RELEASE_OUT" | sed -n 1,4p)" == "$(echo "$ASAN_OUT" | sed -n 1,4p)" ]] \
+  || { echo "FAIL: kernel drill: Release replies differ from the ASan tree's"; exit 1; }
 
 echo "==> [9/12] overload drill: admission control, deadline shedding, hostile clients"
 DRILL=./build/tools/overload_drill
