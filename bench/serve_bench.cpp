@@ -1,8 +1,10 @@
 // Closed-loop serving benchmark: fixed fleets of synchronous clients drive
 // the micro-batching service end to end (request assembly, candidate cache,
 // batched frozen-model inference) and report throughput plus latency
-// percentiles per scenario. The headline comparison is batching ON vs OFF at
-// the same concurrency — the dynamic micro-batcher's whole value claim.
+// percentiles per scenario. Percentiles are nearest rank over every raw
+// per-request sample (as perfbench/stats.py reads them), never bucket
+// bounds. The headline comparison is batching ON vs OFF at the same
+// concurrency — the dynamic micro-batcher's whole value claim.
 //
 //   serve_bench [--out PATH] [--requests N] [--pages N] [--net_only 1]
 //
@@ -41,6 +43,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -49,6 +52,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_host.h"
 #include "core/model.h"
 #include "data/generator.h"
 #include "data/mention_extractor.h"
@@ -77,6 +81,32 @@ struct ScenarioResult {
   int64_t p99_us = 0;
 };
 
+int64_t MicrosSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+/// Fills r's p50/p95/p99 from the per-thread raw latency samples (µs):
+/// nearest rank over the sorted union.
+void SetPercentiles(const std::vector<std::vector<int64_t>>& per_thread,
+                    ScenarioResult* r) {
+  std::vector<int64_t> all;
+  for (const std::vector<int64_t>& v : per_thread) {
+    all.insert(all.end(), v.begin(), v.end());
+  }
+  BOOTLEG_CHECK(!all.empty());
+  std::sort(all.begin(), all.end());
+  const auto rank = [&all](double p) {
+    const auto n =
+        static_cast<size_t>(std::ceil(p * static_cast<double>(all.size())));
+    return all[std::max<size_t>(n, 1) - 1];
+  };
+  r->p50_us = rank(0.50);
+  r->p95_us = rank(0.95);
+  r->p99_us = rank(0.99);
+}
+
 /// Runs `concurrency` closed-loop clients, each issuing `per_client`
 /// requests through `issue` (which blocks until its request completes).
 ScenarioResult RunClosedLoopOnce(
@@ -84,20 +114,20 @@ ScenarioResult RunClosedLoopOnce(
     const std::vector<std::string>& texts,
     const std::function<void(const std::string&)>& issue,
     const serve::ServerCounters* counters) {
-  serve::LatencyHistogram latency;
+  std::vector<std::vector<int64_t>> latency(static_cast<size_t>(concurrency));
   const auto begin = std::chrono::steady_clock::now();
   std::vector<std::thread> clients;
   clients.reserve(static_cast<size_t>(concurrency));
   for (int c = 0; c < concurrency; ++c) {
     clients.emplace_back([&, c] {
+      std::vector<int64_t>& samples = latency[static_cast<size_t>(c)];
+      samples.reserve(static_cast<size_t>(per_client));
       for (int64_t i = 0; i < per_client; ++i) {
         const std::string& text =
             texts[static_cast<size_t>(c + i) % texts.size()];
         const auto start = std::chrono::steady_clock::now();
         issue(text);
-        latency.Record(std::chrono::duration_cast<std::chrono::microseconds>(
-                           std::chrono::steady_clock::now() - start)
-                           .count());
+        samples.push_back(MicrosSince(start));
       }
     });
   }
@@ -114,9 +144,7 @@ ScenarioResult RunClosedLoopOnce(
   r.seconds = seconds;
   r.throughput_sps = static_cast<double>(r.requests) / seconds;
   r.mean_batch = counters == nullptr ? 1.0 : counters->MeanBatchSize();
-  r.p50_us = latency.PercentileUs(0.50);
-  r.p95_us = latency.PercentileUs(0.95);
-  r.p99_us = latency.PercentileUs(0.99);
+  SetPercentiles(latency, &r);
   return r;
 }
 
@@ -161,7 +189,6 @@ ScenarioResult RunEngineScenario(serve::InferenceEngine* engine,
   serve::ServerCounters counters;
   serve::BatcherOptions options;
   options.max_batch = max_batch;
-  options.max_wait_us = max_batch > 1 ? 500 : 0;
   options.max_queue = 1024;
   options.workers = 1;
   core::BootlegModel::InferenceScratch scratch;
@@ -248,7 +275,7 @@ void SendLine(int fd, const std::string& line) {
 /// request-throughput difference.
 void DriveConns(int port, const std::vector<std::string>& lines,
                 int64_t per_conn, int conn_count, int id_base,
-                serve::LatencyHistogram* latency, std::atomic<int64_t>* errors,
+                std::vector<int64_t>* latency, std::atomic<int64_t>* errors,
                 std::atomic<int>* ready, const std::atomic<bool>* go,
                 std::chrono::steady_clock::time_point* end_out) {
   struct NetConn {
@@ -308,9 +335,7 @@ void DriveConns(int port, const std::vector<std::string>& lines,
             c.rbuf.find("\"ok\": false", start) < nl) {
           errors->fetch_add(1, std::memory_order_relaxed);
         }
-        latency->Record(std::chrono::duration_cast<std::chrono::microseconds>(
-                            std::chrono::steady_clock::now() - c.t0)
-                            .count());
+        latency->push_back(MicrosSince(c.t0));
         ++c.recvd;
         start = nl + 1;
         if (c.recvd == per_conn) {
@@ -334,9 +359,9 @@ ScenarioResult RunNetClientsOnce(const std::string& name, int conns,
                                  int64_t per_conn, int port,
                                  const std::vector<std::string>& lines,
                                  const serve::ServerCounters* counters) {
-  serve::LatencyHistogram latency;
   std::atomic<int64_t> errors{0};
   const int thread_count = conns >= 4 ? 2 : 1;
+  std::vector<std::vector<int64_t>> latency(static_cast<size_t>(thread_count));
   std::atomic<int> ready{0};
   std::atomic<bool> go{false};
   std::vector<std::chrono::steady_clock::time_point> ends(
@@ -348,8 +373,9 @@ ScenarioResult RunNetClientsOnce(const std::string& name, int conns,
     const int id_base = assigned;
     assigned += share;
     drivers.emplace_back([&, t, share, id_base] {
-      DriveConns(port, lines, per_conn, share, id_base, &latency, &errors,
-                 &ready, &go, &ends[static_cast<size_t>(t)]);
+      DriveConns(port, lines, per_conn, share, id_base,
+                 &latency[static_cast<size_t>(t)], &errors, &ready, &go,
+                 &ends[static_cast<size_t>(t)]);
     });
   }
   while (ready.load(std::memory_order_acquire) < thread_count) {
@@ -371,9 +397,7 @@ ScenarioResult RunNetClientsOnce(const std::string& name, int conns,
   r.seconds = seconds;
   r.throughput_sps = static_cast<double>(r.requests) / seconds;
   r.mean_batch = counters->MeanBatchSize();
-  r.p50_us = latency.PercentileUs(0.50);
-  r.p95_us = latency.PercentileUs(0.95);
-  r.p99_us = latency.PercentileUs(0.99);
+  SetPercentiles(latency, &r);
   return r;
 }
 
@@ -387,7 +411,6 @@ ScenarioResult RunNetScenario(serve::InferenceEngine* engine,
   serve::LatencyHistogram server_latency;
   serve::BatcherOptions options;
   options.max_batch = kNetMaxBatch;
-  options.max_wait_us = 200;
   options.max_queue = 2048;
   options.workers = 1;
   core::BootlegModel::InferenceScratch scratch;
@@ -403,7 +426,7 @@ ScenarioResult RunNetScenario(serve::InferenceEngine* engine,
                        server_options);
   BOOTLEG_CHECK(server.Start(0).ok());
   {  // Warmup: one connection, one pass over the request pool.
-    serve::LatencyHistogram warmup_latency;
+    std::vector<int64_t> warmup_latency;
     std::atomic<int64_t> warmup_errors{0};
     std::atomic<int> warmup_ready{0};
     std::atomic<bool> warmup_go{true};
@@ -547,6 +570,7 @@ int main(int argc, char** argv) {
   results.push_back(RunNetScenario(&engine, "net_c1024", 1024, 8, lines));
 
   std::string json = "{\n  \"benchmark\": \"bootleg_serve closed-loop\",\n";
+  json += "  \"host\": " + bench::HostJson() + ",\n";
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "  \"pages\": %lld,\n  \"texts\": %zu,\n",

@@ -33,17 +33,11 @@ std::future<util::StatusOr<SentenceResult>> MicroBatcher::Submit(
   auto promise =
       std::make_shared<std::promise<util::StatusOr<SentenceResult>>>();
   std::future<util::StatusOr<SentenceResult>> future = promise->get_future();
-  SubmitAsync(std::move(text), kNoDeadline,
+  SubmitAsync(std::move(text), /*raw_text=*/false, kNoDeadline,
               [promise](util::StatusOr<SentenceResult> result) {
                 promise->set_value(std::move(result));
               });
   return future;
-}
-
-void MicroBatcher::SubmitAsync(std::string text,
-                               std::chrono::steady_clock::time_point deadline,
-                               Callback done) {
-  SubmitAsync(std::move(text), /*raw_text=*/false, deadline, std::move(done));
 }
 
 void MicroBatcher::SubmitAsync(std::string text, bool raw_text,
@@ -137,11 +131,6 @@ void MicroBatcher::Shutdown() {
   for (std::thread& t : to_join) t.join();
 }
 
-int64_t MicroBatcher::max_batch_observed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return max_batch_observed_;
-}
-
 void MicroBatcher::WorkerLoop(int worker) {
   while (true) {
     std::unique_lock<std::mutex> lock(mu_);
@@ -186,31 +175,10 @@ void MicroBatcher::WorkerLoop(int worker) {
       continue;
     }
 
-    if (queue_.empty()) {
-      if (stopping_) return;  // drained
-      continue;               // spurious wake / another worker took the work
-    }
-
-    // Coalescing wait: give stragglers until max_wait_us after the oldest
-    // request arrived, unless the batch is already full, a reload or
-    // exclusive task is pending (they apply at batch boundaries and must not
-    // stall up to max_wait_us behind an open window under trickle traffic),
-    // or we are draining.
-    if (!stopping_ && options_.max_wait_us > 0) {
-      const auto deadline =
-          queue_.front().enqueued + std::chrono::microseconds(options_.max_wait_us);
-      cv_.wait_until(lock, deadline, [this] {
-        return stopping_ || reload_requested_ || !exclusive_.empty() ||
-               queue_.empty() ||
-               static_cast<int>(queue_.size()) >= options_.max_batch;
-      });
-      if (queue_.empty()) continue;  // another worker drained it while we slept
-      if (reload_requested_ || !exclusive_.empty()) {
-        // Cut the window short: loop back so the boundary work runs now; the
-        // queued requests keep their arrival times and batch right after.
-        continue;
-      }
-    }
+    // The wait predicate held and no boundary work is pending, so an empty
+    // queue means we are stopping with nothing left to drain. Otherwise take
+    // whatever is queued now: no worker idles while a request waits.
+    if (queue_.empty()) return;
 
     // Deadline-aware dequeue: expired requests are shed (completed with
     // DeadlineExceeded, no batch slot) so overload compute goes only to
@@ -227,9 +195,6 @@ void MicroBatcher::WorkerLoop(int worker) {
       } else {
         batch.push_back(std::move(req));
       }
-    }
-    if (static_cast<int64_t>(batch.size()) > max_batch_observed_) {
-      max_batch_observed_ = static_cast<int64_t>(batch.size());
     }
     queue_depth_gauge_->Set(static_cast<double>(queue_.size()));
     lock.unlock();
@@ -259,7 +224,7 @@ void MicroBatcher::RunBatch(std::vector<Request> batch, int worker) {
   std::vector<BatchItem> items;
   items.reserve(batch.size());
   bool all_deadlines = true;
-  for (const Request& r : batch) {
+  for (Request& r : batch) {
     queue_wait_hist_->Record(
         std::chrono::duration_cast<std::chrono::microseconds>(start -
                                                               r.enqueued)
@@ -275,7 +240,7 @@ void MicroBatcher::RunBatch(std::vector<Request> batch, int worker) {
       all_deadlines = false;
     }
     BatchItem item;
-    item.text = r.text;
+    item.text = std::move(r.text);
     item.raw_text = r.raw_text;
     item.deadline = r.deadline;
     items.push_back(std::move(item));

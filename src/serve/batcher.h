@@ -21,12 +21,8 @@ namespace bootleg::serve {
 
 /// Policy knobs for dynamic micro-batching.
 struct BatcherOptions {
-  /// Largest batch one dispatch may coalesce.
+  /// Largest batch one dispatch may take from the queue.
   int max_batch = 8;
-  /// How long the dispatcher waits for the batch to fill once the oldest
-  /// queued request is in hand. 0 = dispatch immediately (no coalescing
-  /// beyond what is already queued).
-  int64_t max_wait_us = 500;
   /// Bounded queue depth; Submit rejects with Unavailable beyond this.
   size_t max_queue = 64;
   /// Consumer threads pulling batches. Each worker owns one preallocated
@@ -36,12 +32,13 @@ struct BatcherOptions {
 };
 
 /// Dynamic micro-batcher: a bounded MPMC queue of single-sentence requests
-/// that worker threads drain in coalesced batches.
+/// that worker threads drain in batches.
 ///
-///   - Coalescing: a worker takes up to max_batch requests; if fewer are
-///     queued it waits at most max_wait_us (measured from the oldest queued
-///     request's arrival) for stragglers, then dispatches what it has — the
-///     batch-size/latency trade dial.
+///   - Work-conserving batching: a free worker takes whatever is queued, up
+///     to max_batch, and runs it at once — a lone request on an idle batcher
+///     is a batch of 1 with no added wait. Batches form from the backlog
+///     that builds while every worker is busy, so they grow toward max_batch
+///     with load and are full at saturation.
 ///   - Backpressure: Submit returns an Unavailable future immediately when
 ///     max_queue requests are already waiting; the connection thread turns
 ///     that into a reject-with-status reply instead of queueing unboundedly.
@@ -102,9 +99,6 @@ class MicroBatcher {
   /// `raw_text` marks a raw document (`disambiguate_text`): it is sentence-
   /// split and mention-extracted inside the engine rather than treated as
   /// one pre-segmented sentence.
-  void SubmitAsync(std::string text,
-                   std::chrono::steady_clock::time_point deadline,
-                   Callback done);
   void SubmitAsync(std::string text, bool raw_text,
                    std::chrono::steady_clock::time_point deadline,
                    Callback done);
@@ -137,9 +131,6 @@ class MicroBatcher {
   /// Stops intake, drains every accepted request, joins workers. Idempotent.
   void Shutdown();
 
-  /// Observed maximum coalesced batch size (tests of the coalescing policy).
-  int64_t max_batch_observed() const;
-
  private:
   struct Request {
     std::string text;
@@ -168,14 +159,12 @@ class MicroBatcher {
   std::deque<std::pair<ExclusiveFn, ExclusiveDone>> exclusive_;
   bool stopping_ = false;
   bool reload_requested_ = false;
-  int64_t max_batch_observed_ = 0;
 
   // Workers hold the shared side while running a batch; a reload takes the
   // exclusive side, so it can never overlap inference.
   std::shared_mutex reload_mu_;
 
   std::vector<std::thread> workers_;
-  bool shut_down_ = false;  // guards double Shutdown/join
 };
 
 }  // namespace bootleg::serve

@@ -577,7 +577,6 @@ std::string CodeOf(const std::string& reply) {
 TEST(ServerDeadlineTest, QueuedRequestsPastDeadlineAreShed) {
   serve::BatcherOptions options;
   options.max_batch = 1;
-  options.max_wait_us = 0;
   options.max_queue = 64;
   GatedBatch gate;
   serve::ServerCounters counters;
@@ -634,7 +633,6 @@ TEST(ServerDeadlineTest, InvalidDeadlineIsBadRequest) {
 TEST(ServerAdmissionTest, WatermarkRejectsWithOverloaded) {
   serve::BatcherOptions options;
   options.max_batch = 1;
-  options.max_wait_us = 0;
   options.max_queue = 64;
   GatedBatch gate;
   serve::ServerCounters counters;

@@ -377,12 +377,16 @@ struct PluggableBackend {
   bool plug_seen = false;
   bool released = false;
   std::vector<size_t> batch_sizes;
+  // Every dispatched item's text, in dispatch order, plus whatever Record()
+  // interleaves (boundary work such as reloads).
+  std::vector<std::string> order;
 
   serve::MicroBatcher::BatchFn Fn() {
     return [this](const std::vector<serve::BatchItem>& items, int) {
       {
         std::unique_lock<std::mutex> lock(mu);
         batch_sizes.push_back(items.size());
+        for (const serve::BatchItem& item : items) order.push_back(item.text);
         if (items.size() == 1 && items[0].text == "plug") {
           plug_seen = true;
           cv.notify_all();
@@ -403,21 +407,46 @@ struct PluggableBackend {
     }
     cv.notify_all();
   }
+  void Record(std::string event) {
+    std::lock_guard<std::mutex> lock(mu);
+    order.push_back(std::move(event));
+  }
 };
 
-TEST(MicroBatcherTest, CoalescesQueuedRequestsIntoOneBatch) {
+// Work conservation: an idle worker runs a lone request at once, as a batch
+// of 1, without waiting for siblings that never come.
+TEST(MicroBatcherTest, LoneRequestOnIdleBatcherRunsAsBatchOfOne) {
   serve::ServerCounters counters;
   PluggableBackend backend;
   serve::BatcherOptions options;
-  options.max_batch = 4;
-  options.max_wait_us = 0;  // take whatever is queued, no straggler wait
+  options.max_batch = 8;
+  options.workers = 1;
+  serve::MicroBatcher batcher(options, backend.Fn(), nullptr, &counters);
+
+  auto future = batcher.Submit("solo");
+  ASSERT_EQ(future.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  ASSERT_TRUE(future.get().ok());
+  batcher.Shutdown();
+  EXPECT_EQ(backend.batch_sizes, (std::vector<size_t>{1}));
+  EXPECT_EQ(counters.batched_sentences.load(), 1);
+}
+
+// Batches still form from the backlog that builds while the worker is busy:
+// 2*max_batch+1 queued requests leave as exactly three FIFO batches.
+TEST(MicroBatcherTest, BacklogDrainsAsFullFifoBatches) {
+  serve::ServerCounters counters;
+  PluggableBackend backend;
+  serve::BatcherOptions options;
+  options.max_batch = 8;
   options.workers = 1;
   serve::MicroBatcher batcher(options, backend.Fn(), nullptr, &counters);
 
   auto plug = batcher.Submit("plug");
   backend.AwaitPlugTaken();
+  constexpr int kQueued = 2 * 8 + 1;
   std::vector<std::future<util::StatusOr<serve::SentenceResult>>> futures;
-  for (int i = 0; i < 4; ++i) {
+  for (int i = 0; i < kQueued; ++i) {
     futures.push_back(batcher.Submit(RequestName(i)));
   }
   backend.Release();
@@ -431,40 +460,14 @@ TEST(MicroBatcherTest, CoalescesQueuedRequestsIntoOneBatch) {
   }
   batcher.Shutdown();
 
-  EXPECT_EQ(batcher.max_batch_observed(), 4);
-  ASSERT_EQ(backend.batch_sizes.size(), 2u);  // the plug, then one batch of 4
-  EXPECT_EQ(backend.batch_sizes[1], 4u);
-  EXPECT_EQ(counters.requests.load(), 5);
-  EXPECT_EQ(counters.batches.load(), 2);
-  EXPECT_EQ(counters.batched_sentences.load(), 5);
-  EXPECT_DOUBLE_EQ(counters.MeanBatchSize(), 2.5);
-}
-
-TEST(MicroBatcherTest, MaxWaitFlushesPartialBatch) {
-  serve::ServerCounters counters;
-  std::vector<size_t> batch_sizes;
-  std::mutex mu;
-  serve::BatcherOptions options;
-  options.max_batch = 8;
-  options.max_wait_us = 2000;  // well under the test timeout
-  options.workers = 1;
-  serve::MicroBatcher batcher(
-      options,
-      [&](const std::vector<serve::BatchItem>& items, int) {
-        std::lock_guard<std::mutex> lock(mu);
-        batch_sizes.push_back(items.size());
-        return EchoBatch(items);
-      },
-      nullptr, &counters);
-
-  // A lone request must not wait for 7 siblings that never come.
-  auto future = batcher.Submit("solo");
-  ASSERT_EQ(future.wait_for(std::chrono::seconds(10)),
-            std::future_status::ready);
-  ASSERT_TRUE(future.get().ok());
-  batcher.Shutdown();
-  ASSERT_EQ(batch_sizes.size(), 1u);
-  EXPECT_EQ(batch_sizes[0], 1u);
+  EXPECT_EQ(backend.batch_sizes, (std::vector<size_t>{1, 8, 8, 1}));
+  std::vector<std::string> expected = {"plug"};
+  for (int i = 0; i < kQueued; ++i) expected.push_back(RequestName(i));
+  EXPECT_EQ(backend.order, expected);
+  EXPECT_EQ(counters.requests.load(), 1 + kQueued);
+  EXPECT_EQ(counters.batches.load(), 4);
+  EXPECT_EQ(counters.batched_sentences.load(), 1 + kQueued);
+  EXPECT_DOUBLE_EQ(counters.MeanBatchSize(), 4.5);
 }
 
 TEST(MicroBatcherTest, BackpressureRejectsWhenQueueFull) {
@@ -472,7 +475,6 @@ TEST(MicroBatcherTest, BackpressureRejectsWhenQueueFull) {
   PluggableBackend backend;
   serve::BatcherOptions options;
   options.max_batch = 1;
-  options.max_wait_us = 0;
   options.max_queue = 2;
   options.workers = 1;
   serve::MicroBatcher batcher(options, backend.Fn(), nullptr, &counters);
@@ -503,7 +505,6 @@ TEST(MicroBatcherTest, ShutdownDrainsAcceptedRequests) {
   std::atomic<int64_t> processed{0};
   serve::BatcherOptions options;
   options.max_batch = 2;
-  options.max_wait_us = 0;
   options.workers = 1;
   serve::MicroBatcher batcher(
       options,
@@ -567,74 +568,43 @@ TEST(MicroBatcherTest, ReloadRunsAtBatchBoundaryAndFailureIsNonFatal) {
   batcher.Shutdown();
 }
 
-// Regression: the coalescing wait_until predicate used to ignore pending
-// exclusive tasks, so a live-add submitted mid-window under trickle traffic
-// stalled until max_wait_us elapsed. It must preempt the window instead.
-TEST(MicroBatcherTest, ExclusiveSubmittedMidWindowPreemptsCoalescingWait) {
+// A reload and an exclusive task that arrive while the worker is busy run at
+// the next batch boundary, before the batch of a request queued ahead of
+// them; nothing waits for more requests to arrive.
+TEST(MicroBatcherTest, BoundaryWorkRunsBeforeQueuedBatch) {
   serve::ServerCounters counters;
+  PluggableBackend backend;
   serve::BatcherOptions options;
   options.max_batch = 8;
-  options.max_wait_us = 2000000;  // 2s window; the test must not wait it out
   options.workers = 1;
   serve::MicroBatcher batcher(
-      options,
-      [](const std::vector<serve::BatchItem>& items, int) {
-        return EchoBatch(items);
+      options, backend.Fn(),
+      [&] {
+        backend.Record("<reload>");
+        return util::Status::OK();
       },
-      nullptr, &counters);
+      &counters);
 
-  // One request far below max_batch opens a coalescing window.
-  auto trickle = batcher.Submit("trickle");
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-
-  const auto start = std::chrono::steady_clock::now();
+  auto plug = batcher.Submit("plug");
+  backend.AwaitPlugTaken();
+  auto queued = batcher.Submit("queued");
   std::promise<util::Status> done;
-  batcher.SubmitExclusive([] { return util::Status::OK(); },
-                          [&](util::Status st) { done.set_value(std::move(st)); });
-  auto done_future = done.get_future();
-  ASSERT_EQ(done_future.wait_for(std::chrono::seconds(10)),
-            std::future_status::ready);
-  EXPECT_TRUE(done_future.get().ok());
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed),
-            std::chrono::milliseconds(500))
-      << "exclusive task waited out the coalescing window";
-  batcher.Shutdown();  // flushes the open window and drains `trickle`
-  EXPECT_TRUE(trickle.get().ok());
-}
-
-// Regression (same predicate bug, reload flavor): a SIGHUP reload requested
-// while a coalescing window is open must apply at that boundary, not wait
-// for the window to expire.
-TEST(MicroBatcherTest, ReloadRequestedMidWindowPreemptsCoalescingWait) {
-  serve::ServerCounters counters;
-  serve::BatcherOptions options;
-  options.max_batch = 8;
-  options.max_wait_us = 2000000;
-  options.workers = 1;
-  serve::MicroBatcher batcher(
-      options,
-      [](const std::vector<serve::BatchItem>& items, int) {
-        return EchoBatch(items);
+  batcher.SubmitExclusive(
+      [&] {
+        backend.Record("<exclusive>");
+        return util::Status::OK();
       },
-      [] { return util::Status::OK(); }, &counters);
-
-  auto trickle = batcher.Submit("trickle");
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-
-  const auto start = std::chrono::steady_clock::now();
+      [&](util::Status st) { done.set_value(std::move(st)); });
   batcher.RequestReload();
-  while (counters.reloads.load() < 1 &&
-         std::chrono::steady_clock::now() - start < std::chrono::seconds(10)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_EQ(counters.reloads.load(), 1);
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed),
-            std::chrono::milliseconds(500))
-      << "reload waited out the coalescing window";
+  backend.Release();
+
+  ASSERT_TRUE(plug.get().ok());
+  ASSERT_TRUE(queued.get().ok());
+  EXPECT_TRUE(done.get_future().get().ok());
   batcher.Shutdown();
-  EXPECT_TRUE(trickle.get().ok());
+  EXPECT_EQ(backend.order, (std::vector<std::string>{
+                               "plug", "<reload>", "<exclusive>", "queued"}));
+  EXPECT_EQ(counters.reloads.load(), 1);
 }
 
 // Regression: door-shed and queue-full arrivals used to be invisible in
@@ -645,7 +615,6 @@ TEST(MicroBatcherTest, ArrivalAccountingInvariantHoldsAcrossOutcomes) {
   PluggableBackend backend;
   serve::BatcherOptions options;
   options.max_batch = 1;
-  options.max_wait_us = 0;
   options.max_queue = 2;
   options.workers = 1;
   serve::MicroBatcher batcher(options, backend.Fn(), nullptr, &counters);
@@ -656,7 +625,7 @@ TEST(MicroBatcherTest, ArrivalAccountingInvariantHoldsAcrossOutcomes) {
   // Door shed: arrives with its deadline already expired.
   util::Status door;
   batcher.SubmitAsync(
-      "expired",
+      "expired", /*raw_text=*/false,
       std::chrono::steady_clock::now() - std::chrono::milliseconds(1),
       [&](util::StatusOr<serve::SentenceResult> r) { door = r.status(); });
   EXPECT_EQ(door.code(), util::StatusCode::kDeadlineExceeded);
@@ -665,7 +634,7 @@ TEST(MicroBatcherTest, ArrivalAccountingInvariantHoldsAcrossOutcomes) {
   auto a = batcher.Submit("a");
   util::Status queued_shed;
   batcher.SubmitAsync(
-      "soon-dead",
+      "soon-dead", /*raw_text=*/false,
       std::chrono::steady_clock::now() + std::chrono::milliseconds(50),
       [&](util::StatusOr<serve::SentenceResult> r) {
         queued_shed = r.status();
@@ -702,7 +671,6 @@ TEST(MicroBatcherTest, MidComputeAbandonmentShedsAndCountsReclaims) {
   serve::ServerCounters counters;
   serve::BatcherOptions options;
   options.max_batch = 4;
-  options.max_wait_us = 0;
   options.workers = 1;
   serve::MicroBatcher batcher(
       options,
@@ -1136,7 +1104,6 @@ std::string RequestOverSocket(int fd, const std::string& line) {
 TEST(ServeServerTest, TcpServesConcurrentClients) {
   serve::BatcherOptions options;
   options.max_batch = 8;
-  options.max_wait_us = 200;
   options.max_queue = 256;
   ServerUnderTest sut(options);
   ASSERT_TRUE(sut.server->Start(0).ok());
@@ -1305,7 +1272,6 @@ TEST(ServeStressTest, ConcurrentClientsWithHotReloadStayConsistent) {
   serve::ServerCounters counters;
   serve::BatcherOptions options;
   options.max_batch = 8;
-  options.max_wait_us = 200;
   options.max_queue = 256;
   options.workers = 2;
   std::vector<core::BootlegModel::InferenceScratch> scratch(2);

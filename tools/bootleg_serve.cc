@@ -7,7 +7,6 @@
 //                 [--port N]          TCP on 127.0.0.1:N (0 = ephemeral)
 //                 [--stdin]           serve stdin/stdout instead of TCP
 //                 [--max_batch N]     micro-batch size cap          (default 8)
-//                 [--max_wait_us N]   coalescing wait               (default 500)
 //                 [--max_queue N]     bounded queue depth           (default 64)
 //                 [--workers N]       batch worker threads          (default 1)
 //                 [--io_threads N]    epoll event loops             (default 1)
@@ -45,6 +44,10 @@
 //                 [--ablation A]      config preset when no .meta sidecar
 //                 [--no_trace]        disable per-stage trace spans
 //
+// An idle batch worker runs a request as soon as it arrives; requests that
+// queue while every worker is busy go out together, up to --max_batch.
+// An unknown flag or a stray argument prints the usage line and exits 2.
+//
 // Protocol: newline-delimited JSON; ops disambiguate / disambiguate_text
 // (raw text: sentence-split and mention-extracted server-side, mentions
 // carry document-level spans plus a sentence index) / health / stats /
@@ -66,7 +69,9 @@
 #include <cstring>
 #include <iostream>
 #include <map>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "obs/trace.h"
 #include "serve/batcher.h"
@@ -86,13 +91,17 @@ void OnSighup(int) { g_reload_requested = 1; }
 void OnTerm(int) { g_shutdown_requested = 1; }
 
 /// Same minimal --flag parser as bootleg_cli, minus the subcommand slot.
-/// Accepts both `--flag value` and `--flag=value`.
+/// Accepts both `--flag value` and `--flag=value`, and remembers which flags
+/// were read so that FirstUnread() can name a typo'd or retired one.
 class Flags {
  public:
   Flags(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
       std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) continue;
+      if (arg.rfind("--", 0) != 0) {
+        if (stray_.empty()) stray_ = arg;
+        continue;
+      }
       std::string key = arg.substr(2);
       const size_t eq = key.find('=');
       if (eq != std::string::npos) {
@@ -106,38 +115,56 @@ class Flags {
       }
     }
   }
-  std::string Get(const std::string& key, const std::string& fallback = "") const {
-    auto it = values_.find(key);
+  std::string Get(const std::string& key, const std::string& fallback = "") {
+    auto it = Find(key);
     return it == values_.end() ? fallback : it->second;
   }
-  int64_t GetInt(const std::string& key, int64_t fallback) const {
-    auto it = values_.find(key);
+  int64_t GetInt(const std::string& key, int64_t fallback) {
+    auto it = Find(key);
     return it == values_.end() ? fallback : std::atoll(it->second.c_str());
   }
-  double GetDouble(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
+  double GetDouble(const std::string& key, double fallback) {
+    auto it = Find(key);
     return it == values_.end() ? fallback : std::atof(it->second.c_str());
   }
-  bool Has(const std::string& key) const { return values_.count(key) > 0; }
+  bool Has(const std::string& key) { return Find(key) != values_.end(); }
+
+  /// The first argument that is not a flag read so far, or "" if none.
+  std::string FirstUnread() const {
+    if (!stray_.empty()) return stray_;
+    for (const auto& [key, value] : values_) {
+      if (read_.count(key) == 0) return "--" + key;
+    }
+    return "";
+  }
 
  private:
+  std::map<std::string, std::string>::const_iterator Find(
+      const std::string& key) {
+    read_.insert(key);
+    return values_.find(key);
+  }
+
   std::map<std::string, std::string> values_;
+  std::set<std::string> read_;
+  std::string stray_;  // first non-flag argument
 };
+
+int Usage() {
+  std::fprintf(stderr,
+               "usage: bootleg_serve --data DIR (--model PATH | "
+               "--checkpoint_dir DIR) [--port N | --stdin]\n");
+  return 2;
+}
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+  Flags flags(argc, argv);
   // Spans feed the stats op's per-stage breakdown; --no_trace turns the
   // clock reads off (span scopes then cost one atomic load + branch).
-  obs::Trace::Enable(!flags.Has("no_trace"));
+  const bool trace = !flags.Has("no_trace");
   const std::string data = flags.Get("data");
-  if (data.empty()) {
-    std::fprintf(stderr,
-                 "usage: bootleg_serve --data DIR (--model PATH | "
-                 "--checkpoint_dir DIR) [--port N | --stdin]\n");
-    return 2;
-  }
 
   serve::EngineOptions engine_options;
   engine_options.data_dir = data;
@@ -154,6 +181,37 @@ int main(int argc, char** argv) {
   engine_options.compact_chain_depth = flags.GetInt("compact_chain_depth", 0);
   engine_options.char_fallback = flags.Has("char_fallback");
 
+  serve::BatcherOptions batcher_options;
+  batcher_options.max_batch = static_cast<int>(flags.GetInt("max_batch", 8));
+  batcher_options.max_queue =
+      static_cast<size_t>(flags.GetInt("max_queue", 64));
+  batcher_options.workers = static_cast<int>(flags.GetInt("workers", 1));
+
+  serve::ServerOptions server_options;
+  server_options.io_threads = static_cast<int>(flags.GetInt("io_threads", 1));
+  server_options.max_conns = static_cast<int>(flags.GetInt("max_conns", 4096));
+  server_options.admission_watermark =
+      static_cast<size_t>(flags.GetInt("admission_watermark", 0));
+  server_options.max_line_bytes =
+      static_cast<size_t>(flags.GetInt("max_line_bytes", 1 << 20));
+  server_options.write_buf_bytes =
+      static_cast<size_t>(flags.GetInt("write_buf_bytes", 4 << 20));
+  server_options.idle_timeout_ms =
+      static_cast<int>(flags.GetInt("idle_timeout_ms", 0));
+
+  const bool use_stdin = flags.Has("stdin");
+  const int port = static_cast<int>(flags.GetInt("port", 0));
+
+  // Every flag has been read: anything left is a typo or a retired flag,
+  // which must not silently run the defaults.
+  const std::string unknown = flags.FirstUnread();
+  if (!unknown.empty()) {
+    std::fprintf(stderr, "error: unknown argument %s\n", unknown.c_str());
+    return Usage();
+  }
+  if (data.empty()) return Usage();
+  obs::Trace::Enable(trace);
+
   auto engine_or = serve::InferenceEngine::Create(engine_options);
   if (!engine_or.ok()) {
     std::fprintf(stderr, "error: %s\n", engine_or.status().ToString().c_str());
@@ -163,13 +221,6 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "serving model %s (kernels %s)\n",
                engine.loaded_path().c_str(),
                tensor::ActiveMatMulKernels().isa);
-
-  serve::BatcherOptions batcher_options;
-  batcher_options.max_batch = static_cast<int>(flags.GetInt("max_batch", 8));
-  batcher_options.max_wait_us = flags.GetInt("max_wait_us", 500);
-  batcher_options.max_queue =
-      static_cast<size_t>(flags.GetInt("max_queue", 64));
-  batcher_options.workers = static_cast<int>(flags.GetInt("workers", 1));
 
   serve::ServerCounters counters;
   serve::LatencyHistogram latency;
@@ -186,18 +237,6 @@ int main(int argc, char** argv) {
                                         &scratch[static_cast<size_t>(worker)]);
       },
       [&engine] { return engine.Reload(); }, &counters);
-
-  serve::ServerOptions server_options;
-  server_options.io_threads = static_cast<int>(flags.GetInt("io_threads", 1));
-  server_options.max_conns = static_cast<int>(flags.GetInt("max_conns", 4096));
-  server_options.admission_watermark =
-      static_cast<size_t>(flags.GetInt("admission_watermark", 0));
-  server_options.max_line_bytes =
-      static_cast<size_t>(flags.GetInt("max_line_bytes", 1 << 20));
-  server_options.write_buf_bytes =
-      static_cast<size_t>(flags.GetInt("write_buf_bytes", 4 << 20));
-  server_options.idle_timeout_ms =
-      static_cast<int>(flags.GetInt("idle_timeout_ms", 0));
 
   serve::Server server(&engine, &batcher, &counters, &latency, server_options);
   server.SetPollHook([&batcher] {
@@ -217,14 +256,13 @@ int main(int argc, char** argv) {
   sigaction(SIGTERM, &st, nullptr);
   std::signal(SIGPIPE, SIG_IGN);
 
-  if (flags.Has("stdin")) {
+  if (use_stdin) {
     server.RunStdio(std::cin, std::cout);
     batcher.Shutdown();  // graceful drain of anything still queued
     return 0;
   }
 
-  const util::Status st_start =
-      server.Start(static_cast<int>(flags.GetInt("port", 0)));
+  const util::Status st_start = server.Start(port);
   if (!st_start.ok()) {
     std::fprintf(stderr, "error: %s\n", st_start.ToString().c_str());
     return 1;

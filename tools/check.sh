@@ -14,7 +14,7 @@
 #   5. Serve smoke drill: bring up bootleg_serve on the tiny model from (4),
 #      drive it over stdin and TCP with concurrent clients (malformed lines
 #      included), assert stats are sane, hot-reload via SIGHUP, and verify a
-#      clean SIGTERM shutdown.
+#      clean SIGTERM shutdown; an unknown flag must exit 2.
 #   6. Observability self-check: metrics/trace unit tests, the stats op must
 #      export the metrics registry (queue-wait histogram included) and
 #      per-stage spans covering a request end to end, and `train --trace_out`
@@ -171,6 +171,10 @@ echo "$STDIN_OUT" | sed -n 4p | grep -q '"ok": *false' \
 echo "$STDIN_OUT" | sed -n 5p \
   | grep -q '"errors": *2.*"p50_us"' \
   || { echo "FAIL: stdin serve: stats missing error count or latency"; exit 1; }
+
+# An unknown (typo'd or retired) flag is refused with the usage line, exit 2.
+RC=0; "$SERVE" --data "$WORK/data" --model "$WORK/ref.bin" --stdin --no_such_flag </dev/null 2>/dev/null || RC=$?
+[[ $RC == 2 ]] || { echo "FAIL: unknown flag: exit $RC, want 2"; exit 1; }
 
 # --- TCP transport: concurrent clients, SIGHUP hot-reload, clean SIGTERM. ---
 "$SERVE" --data "$WORK/data" --checkpoint_dir "$WORK/ckpt_ref" --port 0 \
@@ -367,7 +371,7 @@ echo "==> [9/12] overload drill: admission control, deadline shedding, hostile c
 DRILL=./build/tools/overload_drill
 
 "$SERVE" --data "$WORK/data" --model "$WORK/ref.bin" --port 0 \
-  --max_batch 8 --max_wait_us 200 --max_queue 32 --workers 1 \
+  --max_batch 8 --max_queue 32 --workers 1 \
   --io_threads 2 --max_conns 256 --admission_watermark 24 \
   --max_line_bytes 65536 --write_buf_bytes 65536 \
   2>"$WORK/serve_overload.log" &
