@@ -82,6 +82,25 @@ void BM_SoftmaxRows(benchmark::State& state) {
 }
 BENCHMARK(BM_SoftmaxRows)->Arg(64)->Arg(256);
 
+// Elementwise ops over the 512×128 activation a 64-segment serving batch
+// feeds the feed-forward GELU. Both run the shared float tensor::Tanh.
+// Single-thread, like BM_KernelMatMul: the per-core cost.
+void RunElementwise(benchmark::State& state,
+                    tensor::Tensor (*op)(const tensor::Tensor&)) {
+  util::Rng rng(1);
+  const tensor::Tensor a = tensor::Tensor::Randn({512, 128}, &rng, 2.0f);
+  util::ThreadPool::ResetGlobal(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(op(a));
+  }
+  state.SetItemsProcessed(state.iterations() * a.numel());
+  util::ThreadPool::ResetGlobal(util::ThreadPool::EnvThreads());
+}
+void BM_Gelu(benchmark::State& state) { RunElementwise(state, &tensor::Gelu); }
+void BM_Tanh(benchmark::State& state) { RunElementwise(state, &tensor::TanhT); }
+BENCHMARK(BM_Gelu);
+BENCHMARK(BM_Tanh);
+
 void BM_MultiHeadAttention(benchmark::State& state) {
   const int64_t rows = state.range(0);
   util::Rng rng(1);

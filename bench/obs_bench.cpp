@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_host.h"
 #include "core/model.h"
 #include "core/trainer.h"
 #include "data/generator.h"
@@ -189,6 +190,7 @@ int main(int argc, char** argv) {
 
   // --- Export --------------------------------------------------------------
   std::string json = "{\n  \"benchmark\": \"bootleg observability\",\n";
+  json += "  \"host\": " + bench::HostJson() + ",\n";
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "  \"span_disabled_ns\": %.3f,\n  \"span_enabled_ns\": %.2f,\n"

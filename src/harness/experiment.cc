@@ -6,6 +6,7 @@
 
 #include "core/model_loader.h"
 
+#include "util/crc32.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -74,22 +75,68 @@ std::string CacheDir() {
 
 namespace {
 
-/// Cache file name: spec name + environment fingerprint + training recipe,
-/// so a changed schedule or scale never silently reuses a stale checkpoint.
+std::string EncoderKey(const text::WordEncoderConfig& e) {
+  return util::StrFormat("enc%lld,%lld,%lld,%lld,%lld",
+                         static_cast<long long>(e.hidden),
+                         static_cast<long long>(e.num_layers),
+                         static_cast<long long>(e.num_heads),
+                         static_cast<long long>(e.ff_inner),
+                         static_cast<long long>(e.max_len));
+}
+
+/// Every field of the model config, as text: two configs share a key only if
+/// they build and regularize the same model.
+std::string ConfigKey(const core::BootlegConfig& c) {
+  return util::StrFormat(
+             "dims%lld,%lld,%lld,%lld,%lld,%lld,%lld,%lld,%lld,%lld,%lld",
+             static_cast<long long>(c.hidden),
+             static_cast<long long>(c.entity_dim),
+             static_cast<long long>(c.type_dim),
+             static_cast<long long>(c.coarse_dim),
+             static_cast<long long>(c.rel_dim),
+             static_cast<long long>(c.attn_pool_dim),
+             static_cast<long long>(c.max_types_per_entity),
+             static_cast<long long>(c.max_relations_per_entity),
+             static_cast<long long>(c.num_heads),
+             static_cast<long long>(c.ff_inner),
+             static_cast<long long>(c.num_layers)) +
+         EncoderKey(c.encoder) +
+         util::StrFormat("use%d%d%d%d%d%d%d%d%d%d", c.use_entity, c.use_type,
+                         c.use_kg, c.use_type_prediction,
+                         c.use_position_encoding, c.use_cooccurrence_kg,
+                         c.use_title_feature, c.ensemble_scoring,
+                         c.use_two_hop_kg, c.freeze_encoder) +
+         util::StrFormat("reg%d,%g,%d", static_cast<int>(c.regularization.scheme),
+                         static_cast<double>(c.regularization.fixed_p),
+                         c.regularization.two_dimensional);
+}
+
+std::string ConfigKey(const baseline::NedBaseConfig& c) {
+  return EncoderKey(c.encoder) +
+         util::StrFormat("ent%lld", static_cast<long long>(c.entity_dim));
+}
+
+/// Cache file name: spec name + environment fingerprint + training recipe +
+/// model seed + a digest of the model config, so a changed schedule, scale,
+/// seed or architecture never silently reuses a stale checkpoint.
 std::string CachePath(const Environment& env, const std::string& name,
-                      const core::TrainOptions& train) {
+                      const core::TrainOptions& train, uint64_t model_seed,
+                      const std::string& config_key) {
   const std::string dir = CacheDir();
   if (dir.empty()) return "";
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) return "";
   return util::StrFormat(
-      "%s/%s_s%llu_p%lld_e%lld_wl%lld_ep%lld_lr%g.ckpt", dir.c_str(),
-      name.c_str(), static_cast<unsigned long long>(env.synth_config.seed),
+      "%s/%s_s%llu_p%lld_e%lld_wl%lld_ep%lld_lr%g_m%llu_c%08x.ckpt",
+      dir.c_str(), name.c_str(),
+      static_cast<unsigned long long>(env.synth_config.seed),
       static_cast<long long>(env.synth_config.num_pages),
       static_cast<long long>(env.synth_config.num_entities),
       static_cast<long long>(env.wl_stats.total_labels_after),
-      static_cast<long long>(train.epochs), static_cast<double>(train.lr));
+      static_cast<long long>(train.epochs), static_cast<double>(train.lr),
+      static_cast<unsigned long long>(model_seed),
+      util::Crc32(config_key.data(), config_key.size()));
 }
 
 }  // namespace
@@ -103,7 +150,8 @@ std::unique_ptr<core::BootlegModel> TrainBootleg(Environment* env,
   if (spec.config.use_title_feature) {
     model->SetTitleTokenIds(env->TitleTokenIds());
   }
-  const std::string cache = CachePath(*env, spec.name, spec.train);
+  const std::string cache = CachePath(*env, spec.name, spec.train,
+                                      spec.model_seed, ConfigKey(spec.config));
   if (!cache.empty() && std::filesystem::exists(cache) &&
       core::LoadSnapshotOrInvalidate(cache, &model->store()).ok()) {
     BOOTLEG_LOG(Info) << "loaded cached model " << cache;
@@ -129,7 +177,8 @@ std::unique_ptr<baseline::NedBaseModel> TrainNedBase(
   config.encoder.max_len = 32;
   auto model = std::make_unique<baseline::NedBaseModel>(
       env->world.kb.num_entities(), env->world.vocab.size(), config, model_seed);
-  const std::string cache = CachePath(*env, name, train_options);
+  const std::string cache =
+      CachePath(*env, name, train_options, model_seed, ConfigKey(config));
   if (!cache.empty() && std::filesystem::exists(cache) &&
       core::LoadSnapshotOrInvalidate(cache, &model->store()).ok()) {
     BOOTLEG_LOG(Info) << "loaded cached model " << cache;

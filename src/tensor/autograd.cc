@@ -263,18 +263,18 @@ Var TanhV(const Var& a) {
 Var Gelu(const Var& a) {
   Tensor out = Gelu(a.value());
   return MakeOp(std::move(out), {a}, [](Node& n) {
-    constexpr float kC = 0.7978845608f;  // sqrt(2/pi)
     Tensor d = n.grad;
     float* dp = d.data();
     const float* xp = n.inputs[0]->value.data();
     const int64_t numel = d.numel();
     for (int64_t i = 0; i < numel; ++i) {
+      // d/dv [0.5·v·(1 + tanh(u(v)))] with u = GeluInner.
       const float v = xp[i];
-      const float inner = kC * (v + 0.044715f * v * v * v);
-      const float t = std::tanh(inner);
-      const float dinner = kC * (1.0f + 3.0f * 0.044715f * v * v);
-      const float dgelu = 0.5f * (1.0f + t) + 0.5f * v * (1.0f - t * t) * dinner;
-      dp[i] *= dgelu;
+      const float t = Tanh(GeluInner(v));
+      const float du =
+          kGeluSqrt2OverPi * MulAdd(3.0f * kGeluCubic * v, v, 1.0f);
+      const float sech2 = MulAdd(-t, t, 1.0f);
+      dp[i] *= MulAdd(0.5f * v * sech2, du, 0.5f * (1.0f + t));
     }
     AccumInto(n, 0, d);
   });

@@ -2,11 +2,16 @@
 // MatMulTransposedA and MatMulTransposedB. Two implementations compute the
 // same values:
 //   * blocked scalar kernels, written so each output element is one
-//     ascending-k multiply-add chain (A·Bᵀ: sixteen lane chains and a fixed
-//     tree fold). A Release build contracts them into FMA chains.
+//     ascending-k multiply-add chain (A·Bᵀ: sixteen lane chains, a fixed
+//     tree fold and a k-tail chain). A Release build contracts the A·B and
+//     Aᵀ·B chains and the A·Bᵀ lanes into FMAs; the A·Bᵀ k-tail and
+//     short-k chains, which GCC may leave unfused (it does at
+//     -march=sapphirerapids once they hold four or more terms), are
+//     explicit MulAdd (fmaf) calls.
 //   * AVX2/FMA and AVX-512 register tiles that run those chains with
 //     explicit FMA instructions, without the scalar kernels' memory
-//     round-trips.
+//     round-trips. Their scalar remainders use std::fmaf, which is
+//     correctly rounded, i.e. exactly vfmadd's scalar form.
 // ActiveMatMulKernels() picks once per process: the tiles when the CPU can
 // run them and a probe finds them bitwise equal to this build's scalar
 // kernels on every tile shape class; otherwise the scalar kernels (portable
@@ -88,7 +93,9 @@ void ScalarMatMulTBRows(const float* pa, const float* pb, float* pc,
       for (int64_t j = 0; j < n; ++j) {
         const float* brow = pb + j * k;
         float acc = 0.0f;
-        for (int64_t kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
+        for (int64_t kk = 0; kk < k; ++kk) {
+          acc = MulAdd(arow[kk], brow[kk], acc);
+        }
         crow[j] = acc;
       }
     }
@@ -107,7 +114,7 @@ void ScalarMatMulTBRows(const float* pa, const float* pb, float* pc,
         }
       }
       float tail = 0.0f;
-      for (; kk < k; ++kk) tail += arow[kk] * brow[kk];
+      for (; kk < k; ++kk) tail = MulAdd(arow[kk], brow[kk], tail);
       // Tree fold: fixed halving order (16→8→4→2→1) so the result depends
       // only on k, and the upper-half adds vectorize instead of forming a
       // 16-deep serial add chain per output element.
@@ -758,10 +765,10 @@ Tensor MatMulTransposedBWith(MatMulImpl impl, const Tensor& a,
   const float* pa = a.data();
   const float* pb = b.data();
   float* pc = c.data();
-  // k < 16 takes the scalar kernel's short-reduction branch, whose rounding
-  // sequence is a compiler artifact (vectorized without contraction) not
-  // worth replicating: attention scores have k = head_dim >= 16, and the
-  // short products (backward of vector-valued heads) are tiny.
+  // k < 16 takes the scalar kernel's short-reduction branch: one MulAdd
+  // chain per element, which no tile is worth writing for. Attention scores
+  // have k = head_dim >= 16, and the short products (backward of
+  // vector-valued heads) are tiny.
   if (UseSimd(impl) && k >= 16) {
 #if BOOTLEG_SIMD_AVX2
     Dispatch(m, RowGrain(k * n), [=](int64_t i0, int64_t i1) {

@@ -243,7 +243,7 @@ Tensor TanhT(const Tensor& a) {
   Tensor c = a;
   float* pc = c.data();
   Dispatch(c.numel(), 1 << 12, [pc](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) pc[i] = std::tanh(pc[i]);
+        for (int64_t i = lo; i < hi; ++i) pc[i] = Tanh(pc[i]);
       });
   return c;
 }
@@ -251,12 +251,10 @@ Tensor TanhT(const Tensor& a) {
 Tensor Gelu(const Tensor& a) {
   Tensor c = a;
   float* pc = c.data();
-  constexpr float kSqrt2OverPi = 0.7978845608f;
   Dispatch(c.numel(), 1 << 12, [pc](int64_t lo, int64_t hi) {
         for (int64_t i = lo; i < hi; ++i) {
           const float v = pc[i];
-          const float inner = kSqrt2OverPi * (v + 0.044715f * v * v * v);
-          pc[i] = 0.5f * v * (1.0f + std::tanh(inner));
+          pc[i] = 0.5f * v * (1.0f + Tanh(GeluInner(v)));
         }
       });
   return c;

@@ -1,6 +1,8 @@
 #ifndef BOOTLEG_TENSOR_TENSOR_H_
 #define BOOTLEG_TENSOR_TENSOR_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -197,7 +199,51 @@ Tensor LogSoftmaxRows(const Tensor& a);
 /// Elementwise max.
 Tensor Max(const Tensor& a, const Tensor& b);
 
-/// Elementwise ReLU / tanh / GELU (tanh approximation).
+/// a·b + c, rounded once wherever the CPU has FMA. Spelled out so that a
+/// vectorized loop body and its scalar remainder round identically, whatever
+/// the compiler would contract; without FMA there is nothing to contract.
+inline float MulAdd(float a, float b, float c) {
+#if defined(__FMA__)
+  return std::fmaf(a, b, c);
+#else
+  return a * b + c;
+#endif
+}
+
+/// The model's tanh: a clamped odd/even rational approximation (Eigen's
+/// ptanh_float), branch-free so loops over it vectorize. Max abs error
+/// against std::tanh is below 1e-6 (3e-7 measured on [-10, 10]); it is odd
+/// bitwise, maps ±inf to ±1 and propagates NaN. The clamp is the largest
+/// input whose result still rounds to at most 1 under this build's MulAdd.
+inline float Tanh(float a) {
+#if defined(__FMA__)
+  constexpr float kClamp = 7.99881172180175781f;
+#else
+  constexpr float kClamp = 7.90531110763549805f;
+#endif
+  const float x = std::min(std::max(a, -kClamp), kClamp);
+  const float x2 = x * x;
+  float p = MulAdd(x2, -2.76076847742355e-16f, 2.00018790482477e-13f);
+  p = MulAdd(x2, p, -8.60467152213735e-11f);
+  p = MulAdd(x2, p, 5.12229709037114e-08f);
+  p = MulAdd(x2, p, 1.48572235717979e-05f);
+  p = MulAdd(x2, p, 6.37261928875436e-04f);
+  p = MulAdd(x2, p, 4.89352455891786e-03f);
+  float q = MulAdd(x2, 1.19825839466702e-06f, 1.18534705686654e-04f);
+  q = MulAdd(x2, q, 2.26843463243900e-03f);
+  q = MulAdd(x2, q, 4.89352518554385e-03f);
+  return (x * p) / q;
+}
+
+/// GELU's tanh argument sqrt(2/π)·(x + 0.044715·x³): the one equation the
+/// forward (Gelu) and the autograd backward share.
+inline constexpr float kGeluSqrt2OverPi = 0.7978845608f;
+inline constexpr float kGeluCubic = 0.044715f;
+inline float GeluInner(float x) {
+  return kGeluSqrt2OverPi * MulAdd(kGeluCubic * x * x, x, x);
+}
+
+/// Elementwise ReLU / tanh (Tanh above) / GELU (tanh approximation).
 Tensor Relu(const Tensor& a);
 Tensor TanhT(const Tensor& a);
 Tensor Gelu(const Tensor& a);

@@ -3,6 +3,7 @@
 // alias-prior floor on unseen entities).
 #include <cstdlib>
 #include <filesystem>
+#include <iterator>
 
 #include <gtest/gtest.h>
 
@@ -74,6 +75,43 @@ TEST(CacheTest, SecondTrainLoadsFromCache) {
   const data::SentenceExample ex =
       env.builder->Build(env.corpus.dev.front(), options);
   EXPECT_EQ(first->Predict(ex), second->Predict(ex));
+
+  unsetenv("BOOTLEG_CACHE_DIR");
+  std::filesystem::remove_all(cache_dir);
+}
+
+// Specs that differ only in model seed or in one config field must not load
+// each other's checkpoints: each trains and writes its own cache entry.
+TEST(CacheTest, ModelSeedAndConfigKeyTheCache) {
+  const std::string cache_dir =
+      (std::filesystem::temp_directory_path() / "bootleg_cache_key_test")
+          .string();
+  std::filesystem::remove_all(cache_dir);
+  ASSERT_EQ(setenv("BOOTLEG_CACHE_DIR", cache_dir.c_str(), 1), 0);
+
+  Environment env = BuildEnvironment(TinyConfig());
+  BootlegSpec spec;
+  spec.name = "cache_key_model";
+  spec.config = DefaultBootlegConfig();
+  spec.train.epochs = 1;
+  spec.train.max_steps = 2;
+  const auto entries = [&] {
+    return std::distance(std::filesystem::directory_iterator(cache_dir),
+                         std::filesystem::directory_iterator());
+  };
+  TrainBootleg(&env, spec);
+  EXPECT_EQ(entries(), 1);
+  spec.model_seed += 1;
+  TrainBootleg(&env, spec);
+  EXPECT_EQ(entries(), 2);
+  spec.config.regularization.fixed_p = 0.5f;
+  TrainBootleg(&env, spec);
+  EXPECT_EQ(entries(), 3);
+  spec.config.encoder.max_len += 1;
+  TrainBootleg(&env, spec);
+  EXPECT_EQ(entries(), 4);
+  TrainBootleg(&env, spec);  // same spec again: loads, writes nothing new
+  EXPECT_EQ(entries(), 4);
 
   unsetenv("BOOTLEG_CACHE_DIR");
   std::filesystem::remove_all(cache_dir);

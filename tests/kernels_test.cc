@@ -176,8 +176,22 @@ std::string WriteServableWorld() {
   return dir;
 }
 
+// An optimized, unsanitized build with FMA must pass the probe: the scalar
+// kernels' FMA chains are explicit there, so a fallback is a bug, not a
+// property of the host. Sanitizer builds (-O1, no contraction) and portable
+// builds (no FMA) may legitimately serve with the scalar kernels.
+#if defined(__FMA__) && defined(__OPTIMIZE__) && \
+    !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+constexpr bool kTilesRequired = true;
+#else
+constexpr bool kTilesRequired = false;
+#endif
+
 TEST(KernelsEngineTest, DefaultEngineServesWithSimdKernels) {
   if (!tensor::ActiveMatMulKernels().simd_active) {
+    ASSERT_FALSE(kTilesRequired)
+        << "matmul probe failed in an optimized FMA build ("
+        << tensor::ActiveMatMulKernels().isa << ")";
     GTEST_SKIP() << "matmul probe fails on this host ("
                  << tensor::ActiveMatMulKernels().isa << ")";
   }

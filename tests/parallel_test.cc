@@ -184,6 +184,41 @@ TEST(KernelEquivalenceTest, KernelsBitIdenticalAcrossThreadCounts) {
   ThreadPool::ResetGlobal(1);
 }
 
+// Every element of an elementwise op equals the op applied to that element
+// alone, wherever it sits: in a vectorized loop body or a scalar remainder,
+// in any Dispatch chunk, at any thread count. Serving relies on this — a
+// reply must not depend on which other requests share its batch.
+void ExpectPositionInvariant(Tensor (*op)(const Tensor&), const char* name) {
+  util::Rng rng(17);
+  const auto expect_each_alone = [&](const Tensor& in, const Tensor& out) {
+    for (int64_t i = 0; i < in.numel(); ++i) {
+      const float alone = op(Tensor::FromVector({in.at(i)})).at(0);
+      const float batched = out.at(i);
+      ASSERT_EQ(std::memcmp(&alone, &batched, sizeof(float)), 0)
+          << name << " elem " << i << " of " << in.numel();
+    }
+  };
+  for (int threads : {1, 4}) {
+    ThreadPool::ResetGlobal(threads);
+    for (int64_t n = 1; n <= 300; ++n) {
+      const Tensor row = Tensor::Randn({1, n}, &rng, 4.0f);
+      expect_each_alone(row, op(row));
+    }
+    // 64k elements: several 4096-element Dispatch chunks per thread.
+    const Tensor big = Tensor::Randn({512, 128}, &rng, 4.0f);
+    expect_each_alone(big, op(big));
+  }
+  ThreadPool::ResetGlobal(1);
+}
+
+TEST(KernelEquivalenceTest, GeluIsPositionInvariant) {
+  ExpectPositionInvariant(&tensor::Gelu, "Gelu");
+}
+
+TEST(KernelEquivalenceTest, TanhIsPositionInvariant) {
+  ExpectPositionInvariant(&tensor::TanhT, "TanhT");
+}
+
 // --- GradScope reduction -----------------------------------------------------
 
 TEST(GradScopeTest, DenseReductionMatchesDirectBackward) {

@@ -1,6 +1,8 @@
 #include "tensor/tensor.h"
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -167,6 +169,52 @@ TEST(TensorTest, ReluTanhGelu) {
   EXPECT_NEAR(g.at(1), 0.0f, 1e-6f);
   EXPECT_GT(g.at(2), 1.9f);  // GELU(2) ≈ 1.954
   EXPECT_LT(g.at(0), 0.0f);  // GELU(-1) ≈ -0.159
+}
+
+// The shared float tanh against libm, its only remaining caller.
+TEST(TensorTest, TanhWithinStatedBoundOfLibm) {
+  constexpr int kSteps = 2000000;
+  double max_err = 0.0;
+  for (int i = 0; i <= kSteps; ++i) {
+    const float x = -10.0f + 20.0f * static_cast<float>(i) / kSteps;
+    const double err = std::abs(double{Tanh(x)} - std::tanh(double{x}));
+    max_err = std::max(max_err, err);
+  }
+  EXPECT_LE(max_err, 1e-6);
+}
+
+uint32_t Bits(float v) {
+  uint32_t u;
+  std::memcpy(&u, &v, sizeof(u));
+  return u;
+}
+
+TEST(TensorTest, TanhIsOddSaturatesAndPropagatesNan) {
+  const float inf = std::numeric_limits<float>::infinity();
+  EXPECT_EQ(Tanh(inf), 1.0f);
+  EXPECT_EQ(Tanh(-inf), -1.0f);
+  EXPECT_EQ(Tanh(1e30f), 1.0f);
+  EXPECT_TRUE(std::isnan(Tanh(std::numeric_limits<float>::quiet_NaN())));
+  EXPECT_EQ(Bits(Tanh(0.0f)), Bits(0.0f));
+  EXPECT_EQ(Bits(Tanh(-0.0f)), Bits(-0.0f));
+  for (int i = 0; i <= 100000; ++i) {
+    const float x = 12.0f * static_cast<float>(i) / 100000.0f;
+    ASSERT_EQ(Bits(Tanh(-x)), Bits(-Tanh(x))) << "x = " << x;
+    ASSERT_LE(std::abs(Tanh(x)), 1.0f) << "x = " << x;
+  }
+}
+
+TEST(TensorTest, TanhTAndGeluTensorsApplyTheScalarForms) {
+  util::Rng rng(16);
+  const Tensor a = Tensor::Randn({37, 11}, &rng, 4.0f);
+  const Tensor t = TanhT(a);
+  const Tensor g = Gelu(a);
+  for (int64_t i = 0; i < a.numel(); ++i) {
+    const float v = a.at(i);
+    ASSERT_EQ(Bits(t.at(i)), Bits(Tanh(v))) << "elem " << i;
+    ASSERT_EQ(Bits(g.at(i)), Bits(0.5f * v * (1.0f + Tanh(GeluInner(v)))))
+        << "elem " << i;
+  }
 }
 
 TEST(TensorTest, MaxElementwise) {

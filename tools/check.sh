@@ -27,7 +27,8 @@
 #      (AVX2/AVX-512 matmul tiles where the probe passes) and from one built
 #      in the ASan tree (blocked scalar kernels: the probe fails at -O1). The
 #      reply streams must be byte-identical, and the drill prints the
-#      kernels.isa each server's stats op reports.
+#      kernels.isa each server's stats op reports. On a CPU with AVX2 and
+#      FMA the Release server must not report a fallback isa.
 #   9. Overload drill: hammer the epoll front end with ~10x more pipelined
 #      clients than the admission watermark admits, plus slowloris, dead
 #      readers and an over-cap request line. Every overflow request must get
@@ -363,6 +364,12 @@ for side in RELEASE ASAN; do
   [[ -n "$isa" ]] \
     || { echo "FAIL: kernel drill: $side stats missing kernels.isa"; exit 1; }
   echo "  $side kernels.isa: $isa"
+  if [[ $side == RELEASE && $isa == *fallback* ]] \
+    && grep -qw avx2 /proc/cpuinfo && grep -qw fma /proc/cpuinfo; then
+    echo "FAIL: kernel drill: Release server fell back to scalar kernels" \
+      "($isa) on a CPU with AVX2 and FMA"
+    exit 1
+  fi
 done
 [[ "$(echo "$RELEASE_OUT" | sed -n 1,4p)" == "$(echo "$ASAN_OUT" | sed -n 1,4p)" ]] \
   || { echo "FAIL: kernel drill: Release replies differ from the ASan tree's"; exit 1; }

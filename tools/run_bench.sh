@@ -18,7 +18,8 @@
 #      for a never-trained entity, delta-chain gather cost, and Compact)
 #   5. robustness suite    -> BENCH_robust.json  (F1 cliff vs. deterministic
 #      noise rate on the dev split, overshadowed-slice F1, prior-follow
-#      diagnostic, and the char-fallback encoder-hardening delta)
+#      diagnostic, and the char-fallback encoder-hardening delta; trained
+#      uncached, BOOTLEG_CACHE=0)
 #
 # Usage: tools/run_bench.sh [build_dir] [extra benchmark args...]
 #   BOOTLEG_THREADS controls pool size for the kernel benchmarks
@@ -82,6 +83,8 @@ STORE_OUT="${REPO_ROOT}/BENCH_store.json"
 "${BUILD_DIR}/bench/store_bench" --out "${STORE_OUT}"
 echo "wrote ${STORE_OUT}"
 
+# Uncached: the published accuracy must come from a model trained by the
+# code that publishes it, never from a checkpoint an older tree left behind.
 ROBUST_OUT="${REPO_ROOT}/BENCH_robust.json"
-"${BUILD_DIR}/bench/robust_bench" --out "${ROBUST_OUT}"
+BOOTLEG_CACHE=0 "${BUILD_DIR}/bench/robust_bench" --out "${ROBUST_OUT}"
 echo "wrote ${ROBUST_OUT}"
