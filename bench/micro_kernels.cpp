@@ -19,34 +19,18 @@ using namespace bootleg;  // NOLINT
 
 namespace {
 
-void BM_MatMul(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  util::Rng rng(1);
-  tensor::Tensor a = tensor::Tensor::Randn({n, n}, &rng);
-  tensor::Tensor b = tensor::Tensor::Randn({n, n}, &rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tensor::MatMul(a, b));
-  }
-  state.SetItemsProcessed(state.iterations() * n * n * n);
-}
-BENCHMARK(BM_MatMul)->Arg(32)->Arg(64)->Arg(128);
-
 // The dispatched matmul (the probe's pick: AVX2/AVX-512 tiles or the blocked
-// scalar kernels) against the naive reference. Single-thread on purpose: the
-// reference never threads, so this is the per-core speedup; BM_MatMul above
-// runs the dispatched kernel at the default pool size.
+// scalar kernels) against the naive reference.
 void BM_KernelMatMul(benchmark::State& state, bool dispatched) {
   const int64_t n = state.range(0);
   util::Rng rng(1);
   tensor::Tensor a = tensor::Tensor::Randn({n, n}, &rng);
   tensor::Tensor b = tensor::Tensor::Randn({n, n}, &rng);
-  util::ThreadPool::ResetGlobal(1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(dispatched ? tensor::MatMul(a, b)
                                         : tensor::MatMulReference(a, b));
   }
   state.SetItemsProcessed(state.iterations() * n * n * n);
-  util::ThreadPool::ResetGlobal(util::ThreadPool::EnvThreads());
 }
 BENCHMARK_CAPTURE(BM_KernelMatMul, dispatched, true)->Arg(32)->Arg(64)->Arg(128);
 BENCHMARK_CAPTURE(BM_KernelMatMul, reference, false)->Arg(32)->Arg(64)->Arg(128);
@@ -59,7 +43,6 @@ void BM_KernelLinear(benchmark::State& state, bool dispatched) {
   tensor::Tensor x = tensor::Tensor::Randn({64, n}, &rng);
   tensor::Tensor w = tensor::Tensor::Randn({n, n}, &rng);
   tensor::Tensor bias = tensor::Tensor::Randn({n}, &rng);
-  util::ThreadPool::ResetGlobal(1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         dispatched ? tensor::MatMulAddBias(x, w, bias)
@@ -67,7 +50,6 @@ void BM_KernelLinear(benchmark::State& state, bool dispatched) {
                                              bias));
   }
   state.SetItemsProcessed(state.iterations() * 64 * n * n);
-  util::ThreadPool::ResetGlobal(util::ThreadPool::EnvThreads());
 }
 BENCHMARK_CAPTURE(BM_KernelLinear, dispatched, true)->Arg(64)->Arg(128);
 BENCHMARK_CAPTURE(BM_KernelLinear, reference, false)->Arg(64)->Arg(128);
@@ -84,17 +66,14 @@ BENCHMARK(BM_SoftmaxRows)->Arg(64)->Arg(256);
 
 // Elementwise ops over the 512×128 activation a 64-segment serving batch
 // feeds the feed-forward GELU. Both run the shared float tensor::Tanh.
-// Single-thread, like BM_KernelMatMul: the per-core cost.
 void RunElementwise(benchmark::State& state,
                     tensor::Tensor (*op)(const tensor::Tensor&)) {
   util::Rng rng(1);
   const tensor::Tensor a = tensor::Tensor::Randn({512, 128}, &rng, 2.0f);
-  util::ThreadPool::ResetGlobal(1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(op(a));
   }
   state.SetItemsProcessed(state.iterations() * a.numel());
-  util::ThreadPool::ResetGlobal(util::ThreadPool::EnvThreads());
 }
 void BM_Gelu(benchmark::State& state) { RunElementwise(state, &tensor::Gelu); }
 void BM_Tanh(benchmark::State& state) { RunElementwise(state, &tensor::TanhT); }

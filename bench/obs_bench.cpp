@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
   const double disabled_ns = MedianOf(disabled) - MedianOf(bare);
   const double enabled_ns = MedianOf(enabled) - MedianOf(bare);
 
-  // --- Disabled-span overhead on the BM_MatMul/128 workload ---------------
+  // --- Disabled-span overhead on a 128x128 MatMul -------------------------
   util::Rng rng(1);
   tensor::Tensor a = tensor::Tensor::Randn({128, 128}, &rng);
   tensor::Tensor b = tensor::Tensor::Randn({128, 128}, &rng);

@@ -24,6 +24,9 @@
 //                    total per scenario. Demonstrates that throughput holds
 //                    (or improves, via deeper batches) as connection count
 //                    grows far past the old thread-per-connection limit.
+//                    One batch worker, like bootleg_serve's default.
+//   net_c256_w4      net_c256 with four batch workers: what serving gets
+//                    from more cores (tensor kernels run on their worker).
 //
 // The headline ratio is micro-batched serving at concurrency 8 over the
 // single-request baseline. On a single-core host the forward is compute
@@ -403,21 +406,25 @@ ScenarioResult RunNetClientsOnce(const std::string& name, int conns,
 
 /// One TCP scenario: fresh batcher + server (so mean_batch is per-scenario),
 /// a warmup pass over one connection, then the median of three timed drives.
+/// Each of the `workers` batch workers owns one InferenceScratch.
 ScenarioResult RunNetScenario(serve::InferenceEngine* engine,
                               const std::string& name, int conns,
                               int64_t per_conn,
-                              const std::vector<std::string>& lines) {
+                              const std::vector<std::string>& lines,
+                              int workers = 1) {
   serve::ServerCounters counters;
   serve::LatencyHistogram server_latency;
   serve::BatcherOptions options;
   options.max_batch = kNetMaxBatch;
   options.max_queue = 2048;
-  options.workers = 1;
-  core::BootlegModel::InferenceScratch scratch;
+  options.workers = workers;
+  std::vector<core::BootlegModel::InferenceScratch> scratch(
+      static_cast<size_t>(workers));
   serve::MicroBatcher batcher(
       options,
-      [&](const std::vector<serve::BatchItem>& batch, int) {
-        return engine->DisambiguateBatch(batch, &scratch);
+      [&](const std::vector<serve::BatchItem>& batch, int worker) {
+        return engine->DisambiguateBatch(batch,
+                                         &scratch[static_cast<size_t>(worker)]);
       },
       nullptr, &counters);
   serve::ServerOptions server_options;
@@ -567,6 +574,8 @@ int main(int argc, char** argv) {
   results.push_back(RunNetScenario(&engine, "net_c64", 64, 128, lines));
   results.push_back(RunNetScenario(&engine, "net_c256", 256, 32, lines));
   const ScenarioResult net_c256 = results.back();
+  results.push_back(
+      RunNetScenario(&engine, "net_c256_w4", 256, 32, lines, /*workers=*/4));
   results.push_back(RunNetScenario(&engine, "net_c1024", 1024, 8, lines));
 
   std::string json = "{\n  \"benchmark\": \"bootleg_serve closed-loop\",\n";

@@ -26,8 +26,8 @@ struct BatcherOptions {
   /// Bounded queue depth; Submit rejects with Unavailable beyond this.
   size_t max_queue = 64;
   /// Consumer threads pulling batches. Each worker owns one preallocated
-  /// InferenceScratch; the tensor kernels inside a batch additionally fan
-  /// out onto the global util::ThreadPool.
+  /// InferenceScratch and runs its batch's tensor kernels on its own thread,
+  /// so workers are how serving uses more cores.
   int workers = 1;
 };
 

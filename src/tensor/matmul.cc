@@ -21,7 +21,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "tensor/dispatch.h"
 #include "tensor/tensor.h"
 #include "util/cpu.h"
 #include "util/rng.h"
@@ -29,9 +28,6 @@
 namespace bootleg::tensor {
 
 namespace {
-
-using internal::Dispatch;
-using internal::RowGrain;
 
 // --- Blocked scalar kernels --------------------------------------------------
 
@@ -77,8 +73,7 @@ void ScalarMatMulRows(const float* pa, const float* pb, float* pc, int64_t i0,
 /// dependency chain the compiler may not vectorize (FP addition is not
 /// associative), so each dot product accumulates into kTBLanes independent
 /// lanes — lane l sums terms kk ≡ l (mod kTBLanes) — and folds the lanes in
-/// fixed index order. The order depends only on k, never on the thread
-/// partition, so results stay bit-identical at every thread count.
+/// fixed index order. The order depends only on k, never on the row range.
 constexpr int64_t kTBLanes = 16;
 
 void ScalarMatMulTBRows(const float* pa, const float* pb, float* pc,
@@ -86,7 +81,7 @@ void ScalarMatMulTBRows(const float* pa, const float* pb, float* pc,
   if (k < kTBLanes) {
     // Short reductions (backward of vector-valued heads has k as small as 1):
     // every lane would be zero, so the fold is pure overhead. The branch
-    // depends only on k, never on the thread partition.
+    // depends only on k.
     for (int64_t i = i0; i < i1; ++i) {
       const float* arow = pa + i * k;
       float* crow = pc + i * n;
@@ -713,19 +708,15 @@ Tensor MatMulWith(MatMulImpl impl, const Tensor& a, const Tensor& b,
   float* pc = c.data();
   if (UseSimd(impl)) {
 #if BOOTLEG_SIMD_AVX2
-    Dispatch(m, RowGrain(k * n), [=](int64_t i0, int64_t i1) {
-      SimdMatMulRows(pa, pb, pbias, pc, i0, i1, k, n);
-    });
+    SimdMatMulRows(pa, pb, pbias, pc, 0, m, k, n);
     return c;
 #endif
   }
-  Dispatch(m, RowGrain(k * n), [=](int64_t i0, int64_t i1) {
-    ScalarMatMulRows(pa, pb, pc, i0, i1, k, n);
-    if (pbias == nullptr) return;
-    for (int64_t i = i0; i < i1; ++i) {
-      for (int64_t j = 0; j < n; ++j) pc[i * n + j] += pbias[j];
-    }
-  });
+  ScalarMatMulRows(pa, pb, pc, 0, m, k, n);
+  if (pbias == nullptr) return c;
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t j = 0; j < n; ++j) pc[i * n + j] += pbias[j];
+  }
   return c;
 }
 
@@ -742,15 +733,11 @@ Tensor MatMulTransposedAWith(MatMulImpl impl, const Tensor& a,
   float* pc = c.data();
   if (UseSimd(impl)) {
 #if BOOTLEG_SIMD_AVX2
-    Dispatch(m, RowGrain(k * n), [=](int64_t i0, int64_t i1) {
-      SimdMatMulTARows(pa, pb, pc, i0, i1, k, m, n);
-    });
+    SimdMatMulTARows(pa, pb, pc, 0, m, k, m, n);
     return c;
 #endif
   }
-  Dispatch(m, RowGrain(k * n), [=](int64_t i0, int64_t i1) {
-    ScalarMatMulTARows(pa, pb, pc, i0, i1, k, m, n);
-  });
+  ScalarMatMulTARows(pa, pb, pc, 0, m, k, m, n);
   return c;
 }
 
@@ -771,16 +758,12 @@ Tensor MatMulTransposedBWith(MatMulImpl impl, const Tensor& a,
   // vector-valued heads) are tiny.
   if (UseSimd(impl) && k >= 16) {
 #if BOOTLEG_SIMD_AVX2
-    Dispatch(m, RowGrain(k * n), [=](int64_t i0, int64_t i1) {
-      SimdMatMulTBRows(pa, pb, pc, i0, i1, k, n, alpha);
-    });
+    SimdMatMulTBRows(pa, pb, pc, 0, m, k, n, alpha);
     return c;
 #endif
   }
-  Dispatch(m, RowGrain(k * n), [=](int64_t i0, int64_t i1) {
-    ScalarMatMulTBRows(pa, pb, pc, i0, i1, k, n);
-    if (alpha != 1.0f) ScaleRows(pc, i0, i1, n, alpha);
-  });
+  ScalarMatMulTBRows(pa, pb, pc, 0, m, k, n);
+  if (alpha != 1.0f) ScaleRows(pc, 0, m, n, alpha);
   return c;
 }
 

@@ -3,14 +3,9 @@
 #include <cmath>
 #include <sstream>
 
-#include "tensor/dispatch.h"
-
 namespace bootleg::tensor {
 
 namespace {
-
-using internal::Dispatch;
-using internal::RowGrain;
 
 int64_t NumelOf(const std::vector<int64_t>& shape) {
   int64_t n = 1;
@@ -74,18 +69,14 @@ void Tensor::Add(const Tensor& other) {
   BOOTLEG_CHECK(SameShape(other));
   const float* src = other.data();
   float* dst = data();
-  Dispatch(numel(), 1 << 15, [dst, src](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) dst[i] += src[i];
-      });
+  for (int64_t i = 0, n = numel(); i < n; ++i) dst[i] += src[i];
 }
 
 void Tensor::Axpy(float alpha, const Tensor& other) {
   BOOTLEG_CHECK(SameShape(other));
   const float* src = other.data();
   float* dst = data();
-  Dispatch(numel(), 1 << 15, [dst, src, alpha](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) dst[i] += alpha * src[i];
-      });
+  for (int64_t i = 0, n = numel(); i < n; ++i) dst[i] += alpha * src[i];
 }
 
 void Tensor::Scale(float alpha) {
@@ -143,9 +134,7 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
   Tensor c = a;
   float* pc = c.data();
   const float* pb = b.data();
-  Dispatch(c.numel(), 1 << 15, [pc, pb](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) pc[i] *= pb[i];
-      });
+  for (int64_t i = 0, n = c.numel(); i < n; ++i) pc[i] *= pb[i];
   return c;
 }
 
@@ -163,11 +152,9 @@ Tensor AddRowBroadcast(const Tensor& a, const Tensor& bias) {
   const int64_t rows = a.size(0), cols = a.size(1);
   float* pc = c.data();
   const float* pb = bias.data();
-  Dispatch(rows, RowGrain(cols), [pc, pb, cols](int64_t i0, int64_t i1) {
-        for (int64_t i = i0; i < i1; ++i) {
-          for (int64_t j = 0; j < cols; ++j) pc[i * cols + j] += pb[j];
-        }
-      });
+  for (int64_t i = 0; i < rows; ++i) {
+    for (int64_t j = 0; j < cols; ++j) pc[i * cols + j] += pb[j];
+  }
   return c;
 }
 
@@ -178,22 +165,19 @@ Tensor SoftmaxRows(const Tensor& a) {
   if (rows == 0 || cols == 0) return c;
   const float* pa = a.data();
   float* pc = c.data();
-  Dispatch(// exp dominates; treat each element as ~8 scalar ops when sizing chunks.
-      rows, RowGrain(cols * 8), [pa, pc, cols](int64_t i0, int64_t i1) {
-        for (int64_t i = i0; i < i1; ++i) {
-          const float* src = pa + i * cols;
-          float* dst = pc + i * cols;
-          float mx = src[0];
-          for (int64_t j = 1; j < cols; ++j) mx = std::max(mx, src[j]);
-          double total = 0.0;
-          for (int64_t j = 0; j < cols; ++j) {
-            dst[j] = std::exp(src[j] - mx);
-            total += dst[j];
-          }
-          const float inv = static_cast<float>(1.0 / total);
-          for (int64_t j = 0; j < cols; ++j) dst[j] *= inv;
-        }
-      });
+  for (int64_t i = 0; i < rows; ++i) {
+    const float* src = pa + i * cols;
+    float* dst = pc + i * cols;
+    float mx = src[0];
+    for (int64_t j = 1; j < cols; ++j) mx = std::max(mx, src[j]);
+    double total = 0.0;
+    for (int64_t j = 0; j < cols; ++j) {
+      dst[j] = std::exp(src[j] - mx);
+      total += dst[j];
+    }
+    const float inv = static_cast<float>(1.0 / total);
+    for (int64_t j = 0; j < cols; ++j) dst[j] *= inv;
+  }
   return c;
 }
 
@@ -204,18 +188,16 @@ Tensor LogSoftmaxRows(const Tensor& a) {
   if (rows == 0 || cols == 0) return c;
   const float* pa = a.data();
   float* pc = c.data();
-  Dispatch(rows, RowGrain(cols * 8), [pa, pc, cols](int64_t i0, int64_t i1) {
-        for (int64_t i = i0; i < i1; ++i) {
-          const float* src = pa + i * cols;
-          float* dst = pc + i * cols;
-          float mx = src[0];
-          for (int64_t j = 1; j < cols; ++j) mx = std::max(mx, src[j]);
-          double total = 0.0;
-          for (int64_t j = 0; j < cols; ++j) total += std::exp(src[j] - mx);
-          const float lse = mx + static_cast<float>(std::log(total));
-          for (int64_t j = 0; j < cols; ++j) dst[j] = src[j] - lse;
-        }
-      });
+  for (int64_t i = 0; i < rows; ++i) {
+    const float* src = pa + i * cols;
+    float* dst = pc + i * cols;
+    float mx = src[0];
+    for (int64_t j = 1; j < cols; ++j) mx = std::max(mx, src[j]);
+    double total = 0.0;
+    for (int64_t j = 0; j < cols; ++j) total += std::exp(src[j] - mx);
+    const float lse = mx + static_cast<float>(std::log(total));
+    for (int64_t j = 0; j < cols; ++j) dst[j] = src[j] - lse;
+  }
   return c;
 }
 
@@ -224,39 +206,35 @@ Tensor Max(const Tensor& a, const Tensor& b) {
   Tensor c = a;
   float* pc = c.data();
   const float* pb = b.data();
-  Dispatch(c.numel(), 1 << 15, [pc, pb](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) pc[i] = std::max(pc[i], pb[i]);
-      });
+  for (int64_t i = 0, n = c.numel(); i < n; ++i) {
+    pc[i] = std::max(pc[i], pb[i]);
+  }
   return c;
 }
 
 Tensor Relu(const Tensor& a) {
   Tensor c = a;
   float* pc = c.data();
-  Dispatch(c.numel(), 1 << 15, [pc](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) pc[i] = pc[i] > 0.0f ? pc[i] : 0.0f;
-      });
+  for (int64_t i = 0, n = c.numel(); i < n; ++i) {
+    pc[i] = pc[i] > 0.0f ? pc[i] : 0.0f;
+  }
   return c;
 }
 
 Tensor TanhT(const Tensor& a) {
   Tensor c = a;
   float* pc = c.data();
-  Dispatch(c.numel(), 1 << 12, [pc](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) pc[i] = Tanh(pc[i]);
-      });
+  for (int64_t i = 0, n = c.numel(); i < n; ++i) pc[i] = Tanh(pc[i]);
   return c;
 }
 
 Tensor Gelu(const Tensor& a) {
   Tensor c = a;
   float* pc = c.data();
-  Dispatch(c.numel(), 1 << 12, [pc](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) {
-          const float v = pc[i];
-          pc[i] = 0.5f * v * (1.0f + Tanh(GeluInner(v)));
-        }
-      });
+  for (int64_t i = 0, n = c.numel(); i < n; ++i) {
+    const float v = pc[i];
+    pc[i] = 0.5f * v * (1.0f + Tanh(GeluInner(v)));
+  }
   return c;
 }
 

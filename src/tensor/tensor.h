@@ -112,8 +112,9 @@ class Tensor {
 // ---------------------------------------------------------------------------
 
 /// C = A·B for 2-D A [m,k] and B [k,n]. Runs the active matmul kernels (see
-/// ActiveMatMulKernels) threaded over output rows; bit-identical at every
-/// thread count.
+/// ActiveMatMulKernels) on the calling thread, like every kernel here: cores
+/// come from the callers (batch workers, trainer and eval shards), so results
+/// are the same at every pool size.
 Tensor MatMul(const Tensor& a, const Tensor& b);
 
 /// C = X·W + bias (row broadcast) for X [m,k], W [k,n], bias [n]: the affine

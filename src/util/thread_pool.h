@@ -12,8 +12,9 @@
 namespace bootleg::util {
 
 /// Persistent worker pool behind every parallel code path in the repo:
-/// blocked matmul kernels, row-wise tensor ops, data-parallel training and
-/// parallel evaluation all dispatch onto one shared pool.
+/// data-parallel training, parallel evaluation, store export shards and the
+/// Adam update all dispatch onto one shared pool. Tensor kernels do not: they
+/// run on their caller's thread.
 ///
 /// Concurrency model:
 ///   - A pool with `num_threads` total parallelism owns `num_threads - 1`
@@ -22,8 +23,8 @@ namespace bootleg::util {
 ///     serial loop on the caller.
 ///   - Calls made from inside a pool task run inline (serial). Nested
 ///     parallelism never deadlocks and never oversubscribes: the data-parallel
-///     trainer fans sentences out to workers while the tensor kernels those
-///     workers invoke stay serial.
+///     trainer fans sentences out to workers while any parallel section those
+///     workers reach stays serial.
 ///   - ParallelFor partitions [begin, end) into contiguous chunks. Each index
 ///     is processed exactly once by exactly one thread, so any kernel whose
 ///     per-index computation is independent of the partition produces
@@ -57,10 +58,10 @@ class ThreadPool {
   /// parallel sections inline).
   static bool InWorker();
 
-  /// True when ParallelFor(0, n, grain, ...) would actually fan out. Kernels
+  /// True when ParallelFor(0, n, grain, ...) would actually fan out. Callers
   /// check this first and run their loop directly otherwise, skipping the
   /// std::function conversion that a ParallelFor call requires — that
-  /// allocation dominates small-tensor ops if paid on every call.
+  /// allocation dominates small loops if paid on every call.
   bool WouldParallelize(int64_t n, int64_t grain) const {
     return num_threads() > 1 && n > (grain < 1 ? 1 : grain) && !InWorker();
   }

@@ -490,6 +490,71 @@ TEST(NetFrontEndTest, RequestWithSlowHandlerIsNotReaped) {
   ::close(fd);
 }
 
+/// Holds the reply to "slow"; on "stall" completes it from another thread
+/// and then blocks the I/O thread past one sweep interval, so the reply's
+/// completion and the next idle sweep run in the same event-loop pass, with
+/// the reply's flush still posted behind them.
+class ReaperRaceHandler : public net::LineHandler {
+ public:
+  void HandleLineAsync(std::string line, Done done) override {
+    if (line == "slow") {
+      std::lock_guard<std::mutex> lock(mu_);
+      slow_ = std::move(done);
+      return;
+    }
+    Done slow;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      slow = std::move(slow_);
+    }
+    std::thread([&slow] { slow("echo:slow"); }).join();
+    std::this_thread::sleep_for(60ms);
+    done("echo:" + line);
+  }
+  std::string TransportErrorReply(net::TransportError) override {
+    return R"({"ok":false})";
+  }
+  bool Holding() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return static_cast<bool>(slow_);
+  }
+
+ private:
+  std::mutex mu_;
+  Done slow_;
+};
+
+TEST(NetFrontEndTest, ReadyReplyIsNotReapedBeforeItsFlush) {
+  net::FrontEndOptions options;
+  options.port = 0;
+  options.io_threads = 1;
+  options.idle_timeout_ms = 100;  // sweeps every 25ms
+  ReaperRaceHandler handler;
+  net::FrontEnd fe(options, &handler);
+  ASSERT_TRUE(fe.Start().ok());
+
+  const int slow_fd = ConnectLoopback(fe.port());
+  SetRecvTimeout(slow_fd, 5000);
+  ASSERT_TRUE(SendAll(slow_fd, "slow\n"));
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (!handler.Holding() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_TRUE(handler.Holding());
+  // Quiet for two timeouts: once its reply arrives the connection has
+  // nothing in flight and no recent socket activity.
+  std::this_thread::sleep_for(200ms);
+
+  const int stall_fd = ConnectLoopback(fe.port());
+  SetRecvTimeout(stall_fd, 5000);
+  ASSERT_TRUE(SendAll(stall_fd, "stall\n"));
+  EXPECT_EQ(ReadReplyLine(stall_fd), "echo:stall");
+  EXPECT_EQ(ReadReplyLine(slow_fd), "echo:slow");
+  ::close(stall_fd);
+  ::close(slow_fd);
+  fe.Stop();
+}
+
 TEST(NetFrontEndTest, CoalescedLargeRepliesSurvivePartialWrites) {
   // Replies far larger than a socket buffer force the coalesced writev to
   // stop mid-stream repeatedly; the unsent tail must land in the write

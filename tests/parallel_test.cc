@@ -3,7 +3,10 @@
 // across thread counts, gradient-scope reduction, data-parallel training, and
 // parallel evaluation.
 
+#include <sys/resource.h>
+
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -149,7 +152,7 @@ TEST(KernelEquivalenceTest, KernelsBitIdenticalAcrossThreadCounts) {
   util::Rng rng(10);
   const Tensor a = Tensor::Randn({130, 96}, &rng);
   const Tensor b = Tensor::Randn({96, 140}, &rng);
-  const Tensor big = Tensor::Randn({220, 200}, &rng);  // > parallel threshold
+  const Tensor big = Tensor::Randn({220, 200}, &rng);  // 44k elements
   const Tensor big2 = Tensor::Randn({220, 200}, &rng);
 
   ThreadPool::ResetGlobal(1);
@@ -186,8 +189,8 @@ TEST(KernelEquivalenceTest, KernelsBitIdenticalAcrossThreadCounts) {
 
 // Every element of an elementwise op equals the op applied to that element
 // alone, wherever it sits: in a vectorized loop body or a scalar remainder,
-// in any Dispatch chunk, at any thread count. Serving relies on this — a
-// reply must not depend on which other requests share its batch.
+// in any row of a large tensor, at any thread count. Serving relies on this:
+// a reply must not depend on which other requests share its batch.
 void ExpectPositionInvariant(Tensor (*op)(const Tensor&), const char* name) {
   util::Rng rng(17);
   const auto expect_each_alone = [&](const Tensor& in, const Tensor& out) {
@@ -204,11 +207,46 @@ void ExpectPositionInvariant(Tensor (*op)(const Tensor&), const char* name) {
       const Tensor row = Tensor::Randn({1, n}, &rng, 4.0f);
       expect_each_alone(row, op(row));
     }
-    // 64k elements: several 4096-element Dispatch chunks per thread.
+    // 64k elements: far past any vector width or loop unroll.
     const Tensor big = Tensor::Randn({512, 128}, &rng, 4.0f);
     expect_each_alone(big, op(big));
   }
   ThreadPool::ResetGlobal(1);
+}
+
+double CpuSeconds(int who) {
+  rusage ru{};
+  getrusage(who, &ru);
+  return static_cast<double>(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) +
+         1e-6 * static_cast<double>(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec);
+}
+
+// Tensor kernels run on their caller's thread: cores come from batch workers
+// and trainer/eval shards, never from fanning one kernel out. With a 4-thread
+// pool, ~100ms of large MatMul, Gelu and SoftmaxRows on this thread may put
+// at most 10% of that CPU time on any other thread of the process.
+TEST(KernelEquivalenceTest, KernelsRunOnTheCallingThread) {
+  util::Rng rng(18);
+  const Tensor a = Tensor::Randn({256, 256}, &rng);
+  const Tensor b = Tensor::Randn({256, 256}, &rng);
+  const Tensor act = Tensor::Randn({512, 128}, &rng);
+  const Tensor logits = Tensor::Randn({512, 256}, &rng);
+  ThreadPool::ResetGlobal(4);
+  const double self0 = CpuSeconds(RUSAGE_SELF);
+  const double thread0 = CpuSeconds(RUSAGE_THREAD);
+  double thread_cpu = 0.0;
+  float sink = 0.0f;
+  while (thread_cpu < 0.1) {
+    sink += tensor::MatMul(a, b).at(0) + tensor::Gelu(act).at(0) +
+            tensor::SoftmaxRows(logits).at(0);
+    thread_cpu = CpuSeconds(RUSAGE_THREAD) - thread0;
+  }
+  const double other_cpu = CpuSeconds(RUSAGE_SELF) - self0 - thread_cpu;
+  ThreadPool::ResetGlobal(1);
+  EXPECT_TRUE(std::isfinite(sink));
+  EXPECT_LT(other_cpu, 0.1 * thread_cpu)
+      << "other threads used " << other_cpu * 1e3 << " ms of CPU while "
+      << "this thread ran kernels for " << thread_cpu * 1e3 << " ms";
 }
 
 TEST(KernelEquivalenceTest, GeluIsPositionInvariant) {

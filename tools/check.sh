@@ -2,7 +2,8 @@
 # Full verification gate for the durability + serving work (and the tier-1
 # suite):
 #
-#   1. Release build with -Werror + complete ctest suite (tier-1 gate).
+#   1. Release build with -Werror + complete ctest suite (tier-1 gate), then
+#      the idle-reaper race regression test repeated 20 times.
 #   2. ASan build: corruption fuzzing, checkpoint/resume, io, parallel,
 #      serve, matmul kernel identity.
 #   3. TSan build: checkpointed data-parallel training + parallel + serve +
@@ -73,6 +74,10 @@ echo "==> [1/12] Release build (-Werror) + full test suite"
 cmake -B build -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
 cmake --build build -j"$JOBS" >/dev/null
 (cd build && ctest --output-on-failure)
+# The reaper once closed a connection between a reply's completion and its
+# flush; repeat the test that pins that window so a regression cannot hide.
+build/tests/net_test --gtest_filter='NetFrontEndTest.ReadyReplyIsNotReapedBeforeItsFlush' \
+  --gtest_repeat=20 --gtest_brief=1
 
 if [[ "$SKIP_SAN" == "0" ]]; then
   echo "==> [2/12] ASan: fuzz + checkpoint + io + parallel + serve"

@@ -5,7 +5,8 @@
 #      concurrency against the micro-batching engine, plus net_c16..net_c1024
 #      rows that drive real TCP connections through the epoll front end;
 #      throughput + p50/p95/p99. The net rows are the connection-scaling
-#      check: net_c256 throughput is expected to hold at or above net_c16.)
+#      check: net_c256 throughput is expected to hold at or above net_c16;
+#      net_c256_w4 is net_c256 with four batch workers.)
 #   3. observability suite -> BENCH_obs.json     (disabled/enabled span cost,
 #      disabled-span overhead on MatMul/128, and a traced train+serve
 #      workload's per-stage wall-time breakdown)
